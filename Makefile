@@ -4,7 +4,7 @@ GO ?= go
 # for significance when comparing against a saved baseline).
 BENCH_COUNT ?= 1
 
-.PHONY: all build fmt-check vet test race race-shard trace-tests race-fault race-fleet ci bench bench-compare micro fuzz profile
+.PHONY: all build fmt-check vet test race race-shard trace-tests race-fault race-fleet bench-test ci bench bench-compare micro fuzz profile
 
 all: build
 
@@ -90,13 +90,21 @@ race-fleet:
 		-run 'Place|Placements|ScoreTelemetry|FleetFailover|Migration|FleetReplay|OneDeviceFleet|FleetTiming|FleetReplaySummary' \
 		./internal/fleet ./internal/experiments
 
+# bench-test runs the repository benchmark harness's own tests
+# (bench/, a separate Go module that `go test ./...` does not reach):
+# BENCHMARK.json matching the harness's tables, and the output checks.
+# The environment is bench/run.sh's: no module proxy, the local toolchain.
+bench-test:
+	cd bench && GOFLAGS= GOPROXY=off GOTOOLCHAIN=local $(GO) test ./...
+
 # ci is the gate future PRs must keep green: gofmt-clean tree, clean
 # build, clean vet, the named channel-sharding race tests, the
 # trace-replay differential layer, the fault-injection recovery layer,
-# the rack-scale fleet layer, and the full test suite (including the
-# 32-tenant offload stress, the FTL stripe-contention tests, and the
-# Trivium differential suite) under the race detector.
-ci: fmt-check build vet race-shard trace-tests race-fault race-fleet race
+# the rack-scale fleet layer, the benchmark harness's tests, and the full
+# test suite (including the 32-tenant offload stress, the FTL
+# stripe-contention tests, and the Trivium differential suite) under the
+# race detector.
+ci: fmt-check build vet race-shard trace-tests race-fault race-fleet bench-test race
 
 # bench regenerates the committed machine-readable performance record:
 # serial vs parallel experiment-suite wall time, the scheduler offload
@@ -135,7 +143,8 @@ profile:
 #     toward the serialized baseline.
 #   - The -micro write-storm section (program/invalidate/erase churn on
 #     every flash.Device channel, one goroutine per channel vs serial,
-#     wall clock) must beat the GOMAXPROCS-aware gate the micro prints:
+#     wall clock, each leg the fastest of 5 interleaved reps) must beat
+#     the GOMAXPROCS-aware gate the micro prints:
 #     >= 2x with 4+ cores, >= 0.7x on fewer (where parallel hardware is
 #     absent and the gate only rejects the collapse that a re-introduced
 #     cross-channel shared lock causes). See docs/BENCHMARKS.md.

@@ -121,6 +121,7 @@ type channelState struct {
 	mu         sync.Mutex
 	state      []PageState    // channel-local page index
 	eraseCount []int32        // channel-local block index
+	valid      []int32        // channel-local block index: PageValid pages
 	data       map[PPA][]byte // sparse payload store, keyed by global PPA
 
 	// touched marks the channel-local blocks whose page states or erase
@@ -203,6 +204,7 @@ func NewDevice(geo Geometry, timing Timing) (*Device, error) {
 		cs := &d.chans[ch]
 		cs.state = make([]PageState, d.pagesPerChannel)
 		cs.eraseCount = make([]int32, d.blocksPerChannel)
+		cs.valid = make([]int32, d.blocksPerChannel)
 		cs.data = make(map[PPA][]byte)
 		cs.touched = make([]bool, d.blocksPerChannel)
 		cs.dies = make([]*sim.Server, d.diesPerChannel)
@@ -292,13 +294,18 @@ func (d *Device) State(p PPA) PageState {
 	return cs.state[lp]
 }
 
-// EraseCount returns how many times p's block has been erased (the wear
-// figure used by wear leveling).
-func (d *Device) EraseCount(b BlockID) int {
-	cs, lb := d.blockShard(b)
+// ChannelWear copies channel ch's per-block erase counts and valid-page
+// counts into erase and valid under one acquisition of the channel lock,
+// so a wear-aware scan of a channel costs one lock pair, not one per
+// block. Both slices are indexed by channel-local block (block
+// ch*BlocksPerChannel+i lands at index i) and should hold
+// BlocksPerChannel entries; a nil slice is skipped.
+func (d *Device) ChannelWear(ch int, erase, valid []int32) {
+	cs := &d.chans[ch]
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	return int(cs.eraseCount[lb])
+	copy(erase, cs.eraseCount)
+	copy(valid, cs.valid)
 }
 
 func (d *Device) checkPPA(p PPA) error {
@@ -396,6 +403,7 @@ func (d *Device) Program(at sim.Time, p PPA, data []byte) (done sim.Time, err er
 	_, busDone := cs.bus.Acquire(at, d.transferTime())
 	_, done = cs.diesW[die].Acquire(busDone, d.timing.ProgramLatency)
 	cs.state[lp] = PageValid
+	cs.valid[lp/d.pagesPerBlock]++
 	cs.markTouched(lp / d.pagesPerBlock)
 	if data != nil {
 		cs.data[p] = append([]byte(nil), data...)
@@ -418,6 +426,7 @@ func (d *Device) Invalidate(p PPA) error {
 		return fmt.Errorf("flash: invalidate of non-valid page %d (state %d)", p, cs.state[lp])
 	}
 	cs.state[lp] = PageInvalid
+	cs.valid[lp/d.pagesPerBlock]--
 	delete(cs.data, p)
 	return nil
 }
@@ -432,13 +441,11 @@ func (d *Device) Erase(at sim.Time, b BlockID) (done sim.Time, err error) {
 	cs, lb := d.blockShard(b)
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
+	if n := cs.valid[lb]; n > 0 {
+		return at, fmt.Errorf("flash: erase of block %d with %d valid pages", b, n)
+	}
 	first := d.geo.FirstPage(b)
 	_, lfirst := d.shardOf(first)
-	for i := 0; i < d.geo.PagesPerBlock; i++ {
-		if cs.state[lfirst+int64(i)] == PageValid {
-			return at, fmt.Errorf("flash: erase of block %d with valid page %d", b, first+PPA(i))
-		}
-	}
 	if d.inj != nil {
 		n := cs.faultOps[faultOpErase]
 		cs.faultOps[faultOpErase]++
@@ -455,21 +462,6 @@ func (d *Device) Erase(at sim.Time, b BlockID) (done sim.Time, err error) {
 	cs.markTouched(lb)
 	d.stats.erases.Add(1)
 	return done, nil
-}
-
-// ValidPages returns the number of valid pages in block b.
-func (d *Device) ValidPages(b BlockID) int {
-	cs, _ := d.blockShard(b)
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	_, lfirst := d.shardOf(d.geo.FirstPage(b))
-	n := 0
-	for i := 0; i < d.geo.PagesPerBlock; i++ {
-		if cs.state[lfirst+int64(i)] == PageValid {
-			n++
-		}
-	}
-	return n
 }
 
 // ChannelBusy returns the accumulated busy time of channel ch, for
@@ -502,10 +494,10 @@ func (d *Device) ResetTiming() {
 }
 
 // Reset returns the device to its factory-fresh state: every page free,
-// every erase count zero, no payloads, idle servers, zero stats. The cost
-// is proportional to the blocks actually touched since construction (or
-// the last Reset), not to the geometry — the reuse-aware half of the pool
-// reset contract. Like ResetTiming it locks one channel at a time, so the
+// every erase and valid-page count zero, no payloads, idle servers, zero
+// stats. The cost is proportional to the blocks actually touched since
+// construction (or the last Reset), not to the geometry — the
+// reuse-aware half of the pool reset contract. Like ResetTiming it locks one channel at a time, so the
 // caller must quiesce concurrent operations first; on the replay path the
 // pool's exclusive resource handoff guarantees that.
 func (d *Device) Reset() {
@@ -515,6 +507,7 @@ func (d *Device) Reset() {
 		for _, lb := range cs.touchedList {
 			clear(cs.state[lb*d.pagesPerBlock : (lb+1)*d.pagesPerBlock])
 			cs.eraseCount[lb] = 0
+			cs.valid[lb] = 0
 			cs.touched[lb] = false
 		}
 		cs.touchedList = cs.touchedList[:0]

@@ -81,8 +81,8 @@ func TestEraseCountAndState(t *testing.T) {
 	if _, err := d.Erase(0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if d.EraseCount(0) != 1 {
-		t.Fatalf("erase count = %d, want 1", d.EraseCount(0))
+	if e, _ := blockWear(d, 0); e != 1 {
+		t.Fatalf("erase count = %d, want 1", e)
 	}
 	if d.State(0) != PageFree {
 		t.Fatal("page not free after erase")
@@ -181,9 +181,84 @@ func TestValidPages(t *testing.T) {
 	d.Program(0, 1, nil)
 	d.Program(0, 2, nil)
 	d.Invalidate(1)
-	if n := d.ValidPages(0); n != 2 {
+	if _, n := blockWear(d, 0); n != 2 {
 		t.Fatalf("valid pages = %d, want 2", n)
 	}
+}
+
+// blockWear reads block b's erase count and valid-page count through
+// ChannelWear.
+func blockWear(d *Device, b BlockID) (erases, valid int) {
+	n := d.Geometry().BlocksPerChannel()
+	e, v := make([]int32, n), make([]int32, n)
+	d.ChannelWear(int(int64(b)/n), e, v)
+	return int(e[int64(b)%n]), int(v[int64(b)%n])
+}
+
+// TestChannelWearMatchesPageStates pins ChannelWear's counts against an
+// independent model: after random program / invalidate / erase churn and
+// a Reset, every block's valid count equals its PageValid pages (counted
+// through State) and its erase count equals the erases the test issued.
+func TestChannelWearMatchesPageStates(t *testing.T) {
+	d := testDevice(t)
+	geo := d.Geometry()
+	rng := sim.NewRNG(11)
+	erases := make([]int, geo.TotalBlocks())
+	check := func(when string) {
+		t.Helper()
+		n := geo.BlocksPerChannel()
+		e, v := make([]int32, n), make([]int32, n)
+		for ch := 0; ch < geo.Channels; ch++ {
+			d.ChannelWear(ch, e, v)
+			for i := int64(0); i < n; i++ {
+				b := BlockID(int64(ch)*n + i)
+				valid := 0
+				for p := geo.FirstPage(b); p < geo.FirstPage(b)+PPA(geo.PagesPerBlock); p++ {
+					if d.State(p) == PageValid {
+						valid++
+					}
+				}
+				if int(v[i]) != valid || int(e[i]) != erases[b] {
+					t.Fatalf("%s: block %d wear (erases %d, valid %d), want (%d, %d)",
+						when, b, e[i], v[i], erases[b], valid)
+				}
+			}
+		}
+	}
+	// Churn the first blocks of every channel so each channel's counts move.
+	span := int64(4 * geo.PagesPerBlock)
+	for i := 0; i < 4000; i++ {
+		ch := rng.Intn(geo.Channels)
+		p := PPA(int64(ch)*geo.PagesPerChannel() + int64(rng.Intn(int(span))))
+		switch d.State(p) {
+		case PageFree:
+			if _, err := d.Program(0, p, nil); err != nil {
+				t.Fatal(err)
+			}
+		case PageValid:
+			if err := d.Invalidate(p); err != nil {
+				t.Fatal(err)
+			}
+		case PageInvalid:
+			b := geo.BlockOf(p)
+			first := geo.FirstPage(b)
+			for q := first; q < first+PPA(geo.PagesPerBlock); q++ {
+				if d.State(q) == PageValid {
+					if err := d.Invalidate(q); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if _, err := d.Erase(0, b); err != nil {
+				t.Fatal(err)
+			}
+			erases[b]++
+		}
+	}
+	check("after churn")
+	d.Reset()
+	clear(erases)
+	check("after Reset")
 }
 
 func TestOversizedPayloadRejected(t *testing.T) {

@@ -71,7 +71,7 @@ func TestDeviceResetEquivalentToFresh(t *testing.T) {
 		}
 	}
 	for b := int64(0); b < geo.TotalBlocks(); b++ {
-		if e := a.EraseCount(BlockID(b)); e != 0 {
+		if e, _ := blockWear(a, BlockID(b)); e != 0 {
 			t.Fatalf("block %d erase count %d after Reset", b, e)
 		}
 	}

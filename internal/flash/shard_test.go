@@ -38,7 +38,7 @@ func TestCrossChannelNoSharedLock(t *testing.T) {
 			done <- fmt.Errorf("state = %d, want valid", st)
 			return
 		}
-		if n := d.ValidPages(b1); n != 1 {
+		if _, n := blockWear(d, b1); n != 1 {
 			done <- fmt.Errorf("valid pages = %d, want 1", n)
 			return
 		}
@@ -50,7 +50,7 @@ func TestCrossChannelNoSharedLock(t *testing.T) {
 			done <- fmt.Errorf("erase: %w", err)
 			return
 		}
-		if n := d.EraseCount(b1); n != 1 {
+		if n, _ := blockWear(d, b1); n != 1 {
 			done <- fmt.Errorf("erase count = %d, want 1", n)
 			return
 		}
@@ -171,10 +171,11 @@ func TestCrossChannelWriteStormIntegrity(t *testing.T) {
 	}
 
 	for b := BlockID(0); int64(b) < g.TotalBlocks(); b++ {
-		if got := d.EraseCount(b); got != rounds {
+		got, n := blockWear(d, b)
+		if got != rounds {
 			t.Fatalf("block %d erase count = %d, want %d", b, got, rounds)
 		}
-		if n := d.ValidPages(b); n != 0 {
+		if n != 0 {
 			t.Fatalf("block %d has %d valid pages after final erase", b, n)
 		}
 	}

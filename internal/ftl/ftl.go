@@ -18,6 +18,7 @@ package ftl
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -149,10 +150,19 @@ type counters struct {
 	deadDies     atomic.Int64
 }
 
+// poolBlock is one free-pool entry: a block and its erase count. The
+// count is frozen while the block waits in the pool — only GC erases, and
+// GC never picks a pooled block — so wear-aware allocation reads it here
+// instead of asking the device once per pooled block.
+type poolBlock struct {
+	b      flash.BlockID
+	erases int32
+}
+
 // dieState tracks one die's free-block pool and active (partially
 // programmed) block within a channel.
 type dieState struct {
-	freeBlocks  []flash.BlockID
+	freeBlocks  []poolBlock
 	activeBlock flash.BlockID
 	nextPage    int // next free page index within activeBlock
 	hasActive   bool
@@ -183,6 +193,16 @@ type channelShard struct {
 	// badList holds this channel's retired blocks (see FTL.bad), in
 	// retirement order — the bad-block table's Reset journal.
 	badList []flash.BlockID
+	// wearStale marks pool erase counts that predate a construction or
+	// Reset (the device may be reset after the FTL); the channel's next
+	// allocation reloads them with one device call.
+	wearStale bool
+	// erase, valid, and skip are scratch for the channel's wear scans,
+	// indexed by channel-local block and reused so a GC pass allocates
+	// nothing: the device's erase and valid-page counts, and the blocks a
+	// victim scan must pass over (pooled or active).
+	erase, valid []int32
+	skip         []bool
 }
 
 // freeTotal counts the pooled free blocks the allocator can actually
@@ -272,14 +292,25 @@ type FTL struct {
 	// Reset.
 	bad []bool
 
-	logicalPages int64
-	stats        counters
+	logicalPages     int64
+	blocksPerChannel int64
+	blocksPerDie     int64
+	stats            counters
 }
 
 // programHook, when non-nil, runs immediately before each write-path
 // device program, after every FTL lock has been released. Tests use it to
 // pin the pipelining contract that no shard is held across device calls.
 var programHook func(ch int)
+
+// freePickHook and victimHook, when non-nil, observe each allocator
+// decision under the channel shard before it is acted on: the index
+// allocate takes from die's free pool, and the block pickVictim chose
+// (ok false: none). Tests check both against a per-block reference.
+var (
+	freePickHook func(ch, die, idx int)
+	victimHook   func(ch int, victim flash.BlockID, ok bool)
+)
 
 // invalidLPA marks an unused reverse-map slot.
 const invalidLPA = ^LPA(0)
@@ -301,13 +332,20 @@ func New(dev *flash.Device, cfg Config) *FTL {
 		usedBlocks:   make([]bool, geo.TotalBlocks()),
 		bad:          make([]bool, geo.TotalBlocks()),
 		logicalPages: logical,
+		// A channel's blocks are one contiguous BlockID range, and within
+		// it each die's blocks are contiguous too.
+		blocksPerChannel: geo.BlocksPerChannel(),
+		blocksPerDie:     int64(geo.PlanesPerDie) * int64(geo.BlocksPerPlane),
 	}
 	for i := range f.reverse {
 		f.reverse[i] = invalidLPA
 	}
-	diesPerChannel := geo.ChipsPerChannel * geo.DiesPerChip
 	for ch := range f.chans {
-		f.chans[ch].dies = make([]dieState, diesPerChannel)
+		cs := &f.chans[ch]
+		cs.dies = make([]dieState, geo.DiesPerChannel())
+		cs.erase = make([]int32, f.blocksPerChannel)
+		cs.valid = make([]int32, f.blocksPerChannel)
+		cs.skip = make([]bool, f.blocksPerChannel)
 	}
 	f.distributeBlocks()
 	return f
@@ -316,23 +354,38 @@ func New(dev *flash.Device, cfg Config) *FTL {
 // distributeBlocks fills every die's free-block pool with the full block
 // population in ascending BlockID order — the allocation order New
 // establishes, reproduced exactly on Reset so a recycled FTL allocates
-// block-for-block like a fresh one. Pool slices are reused in place.
+// block-for-block like a fresh one. Pool slices are reused in place. The
+// pool erase counts are marked stale and loaded on each channel's first
+// allocation, so the FTL and device may be reset in either order.
 // Caller must own the FTL exclusively (construction or a quiesced Reset).
 func (f *FTL) distributeBlocks() {
 	for ch := range f.chans {
 		cs := &f.chans[ch]
+		cs.wearStale = true
+		b := f.firstBlock(ch)
 		for i := range cs.dies {
-			cs.dies[i].freeBlocks = cs.dies[i].freeBlocks[:0]
+			ds := &cs.dies[i]
+			ds.freeBlocks = ds.freeBlocks[:0]
+			for end := b + flash.BlockID(f.blocksPerDie); b < end; b++ {
+				ds.freeBlocks = append(ds.freeBlocks, poolBlock{b: b})
+			}
 		}
 	}
-	diesPerChannel := f.geo.ChipsPerChannel * f.geo.DiesPerChip
-	for b := flash.BlockID(0); int64(b) < f.geo.TotalBlocks(); b++ {
-		first := f.geo.FirstPage(b)
-		ch := f.geo.ChannelOf(first)
-		die := f.geo.DieIndex(first) % diesPerChannel
-		ds := &f.chans[ch].dies[die]
-		ds.freeBlocks = append(ds.freeBlocks, b)
+}
+
+// loadPoolWear reads ch's erase counts from the device in one call and
+// stamps them into every pool entry. Caller holds the channel shard.
+func (f *FTL) loadPoolWear(ch int) {
+	cs := &f.chans[ch]
+	f.dev.ChannelWear(ch, cs.erase, nil)
+	base := f.firstBlock(ch)
+	for i := range cs.dies {
+		pool := cs.dies[i].freeBlocks
+		for j := range pool {
+			pool[j].erases = cs.erase[pool[j].b-base]
+		}
 	}
+	cs.wearStale = false
 }
 
 // LogicalPages returns the number of LPAs exposed.
@@ -833,7 +886,8 @@ func (f *FTL) allocate(ch int) (flash.PPA, error) {
 	cs := &f.chans[ch]
 	n := len(cs.dies)
 	for tries := 0; tries < n; tries++ {
-		ds := &cs.dies[cs.rr%n]
+		die := cs.rr % n
+		ds := &cs.dies[die]
 		cs.rr++
 		if ds.dead {
 			continue
@@ -842,8 +896,14 @@ func (f *FTL) allocate(ch int) (flash.PPA, error) {
 			if len(ds.freeBlocks) == 0 {
 				continue // die exhausted; try the next one
 			}
+			if cs.wearStale {
+				f.loadPoolWear(ch)
+			}
 			idx := f.pickFreeBlock(ds)
-			ds.activeBlock = ds.freeBlocks[idx]
+			if freePickHook != nil {
+				freePickHook(ch, die, idx)
+			}
+			ds.activeBlock = ds.freeBlocks[idx].b
 			ds.freeBlocks = append(ds.freeBlocks[:idx], ds.freeBlocks[idx+1:]...)
 			ds.nextPage = 0
 			ds.hasActive = true
@@ -862,19 +922,19 @@ func (f *FTL) allocate(ch int) (flash.PPA, error) {
 // pickFreeBlock implements the wear-leveling allocation policy: normally
 // FIFO, but when the erase-count spread across the die's free pool
 // exceeds WearDelta, pick the least-worn block so cold blocks absorb new
-// writes. Caller holds the channel shard.
+// writes. The counts come from the pool entries, so the scan makes no
+// device call. Caller holds the channel shard.
 func (f *FTL) pickFreeBlock(ds *dieState) int {
-	minIdx, minE, maxE := 0, int(^uint(0)>>1), 0
-	for i, b := range ds.freeBlocks {
-		e := f.dev.EraseCount(b)
-		if e < minE {
-			minE, minIdx = e, i
+	minIdx, minE, maxE := 0, int32(math.MaxInt32), int32(0)
+	for i, pb := range ds.freeBlocks {
+		if pb.erases < minE {
+			minE, minIdx = pb.erases, i
 		}
-		if e > maxE {
-			maxE = e
+		if pb.erases > maxE {
+			maxE = pb.erases
 		}
 	}
-	if maxE-minE > f.cfg.WearDelta {
+	if int(maxE-minE) > f.cfg.WearDelta {
 		return minIdx
 	}
 	return 0
@@ -906,7 +966,10 @@ func (f *FTL) ensureFree(at sim.Time, ch int) (sim.Time, error) {
 // page's mapping stripe, so a concurrent reader of the same LPA either
 // completes its device read before the move or observes the new PPA.
 func (f *FTL) collectChannel(at sim.Time, ch int) (done sim.Time, reclaimed bool, err error) {
-	victim, ok := f.pickVictim(ch)
+	victim, erases, ok := f.pickVictim(ch)
+	if victimHook != nil {
+		victimHook(ch, victim, ok)
+	}
 	if !ok {
 		return at, false, nil
 	}
@@ -941,7 +1004,7 @@ func (f *FTL) collectChannel(at sim.Time, ch int) (done sim.Time, reclaimed bool
 	f.stats.erases.Add(1)
 	die := f.dieOf(victim)
 	ds := &f.chans[ch].dies[die]
-	ds.freeBlocks = append(ds.freeBlocks, victim)
+	ds.freeBlocks = append(ds.freeBlocks, poolBlock{b: victim, erases: erases + 1})
 	return done, true, nil
 }
 
@@ -997,7 +1060,12 @@ func (f *FTL) relocate(at sim.Time, src flash.PPA, l LPA, ch int) (sim.Time, err
 
 // dieOf returns the channel-local die index of a block.
 func (f *FTL) dieOf(b flash.BlockID) int {
-	return f.geo.DieIndex(f.geo.FirstPage(b)) % (f.geo.ChipsPerChannel * f.geo.DiesPerChip)
+	return int(int64(b) % f.blocksPerChannel / f.blocksPerDie)
+}
+
+// firstBlock returns the first BlockID of channel ch's contiguous range.
+func (f *FTL) firstBlock(ch int) flash.BlockID {
+	return flash.BlockID(int64(ch) * f.blocksPerChannel)
 }
 
 // pickVictim selects the channel's fullest-of-invalid block: the non-free,
@@ -1007,39 +1075,45 @@ func (f *FTL) dieOf(b flash.BlockID) int {
 // pages look free or lack reverse mappings until the writer commits. Ties
 // break toward the least-erased block, which rotates erases evenly across
 // the channel instead of hammering the lowest-numbered fully-invalid
-// block. Caller holds the channel shard.
-func (f *FTL) pickVictim(ch int) (flash.BlockID, bool) {
+// block. It reports the victim's erase count too. The scan walks only
+// ch's BlockID range, reading its wear with one device call. Caller holds
+// the channel shard.
+func (f *FTL) pickVictim(ch int) (flash.BlockID, int32, bool) {
 	cs := &f.chans[ch]
-	skip := make(map[flash.BlockID]bool)
+	base := f.firstBlock(ch)
+	clear(cs.skip)
 	for i := range cs.dies {
 		ds := &cs.dies[i]
-		for _, b := range ds.freeBlocks {
-			skip[b] = true
+		for _, pb := range ds.freeBlocks {
+			cs.skip[pb.b-base] = true
 		}
 		if ds.hasActive {
-			skip[ds.activeBlock] = true
+			cs.skip[ds.activeBlock-base] = true
 		}
 	}
+	f.dev.ChannelWear(ch, cs.erase, cs.valid)
 	best := flash.BlockID(-1)
-	bestValid := f.geo.PagesPerBlock + 1
-	bestErase := int(^uint(0) >> 1)
-	for b := flash.BlockID(0); int64(b) < f.geo.TotalBlocks(); b++ {
-		if f.geo.ChannelOf(f.geo.FirstPage(b)) != ch {
+	bestValid := int32(f.geo.PagesPerBlock) + 1
+	bestErase := int32(math.MaxInt32)
+	for die := range cs.dies {
+		if cs.dies[die].dead {
 			continue
 		}
-		if skip[b] || f.pending[b] > 0 || f.bad[b] || cs.dies[f.dieOf(b)].dead {
-			continue
-		}
-		valid := f.dev.ValidPages(b)
-		if valid >= f.geo.PagesPerBlock { // nothing reclaimable
-			continue
-		}
-		erase := f.dev.EraseCount(b)
-		if valid < bestValid || (valid == bestValid && erase < bestErase) {
-			best, bestValid, bestErase = b, valid, erase
+		for i := int64(die) * f.blocksPerDie; i < int64(die+1)*f.blocksPerDie; i++ {
+			b := base + flash.BlockID(i)
+			if cs.skip[i] || f.pending[b] > 0 || f.bad[b] {
+				continue
+			}
+			valid := cs.valid[i]
+			if valid >= int32(f.geo.PagesPerBlock) { // nothing reclaimable
+				continue
+			}
+			if erase := cs.erase[i]; valid < bestValid || (valid == bestValid && erase < bestErase) {
+				best, bestValid, bestErase = b, valid, erase
+			}
 		}
 	}
-	return best, best >= 0
+	return best, bestErase, best >= 0
 }
 
 // FreeBlocks returns the number of free blocks pooled on channel ch.
@@ -1122,17 +1196,18 @@ func (f *FTL) Reset() {
 }
 
 // MaxEraseSpread returns max-min block erase counts, a wear-leveling
-// quality metric.
+// quality metric. It reads each channel's counts with one device call,
+// under that channel's shard.
 func (f *FTL) MaxEraseSpread() int {
-	minE, maxE := int(^uint(0)>>1), 0
-	for b := flash.BlockID(0); int64(b) < f.geo.TotalBlocks(); b++ {
-		e := f.dev.EraseCount(b)
-		if e < minE {
-			minE = e
+	minE, maxE := int32(math.MaxInt32), int32(0)
+	for ch := range f.chans {
+		cs := &f.chans[ch]
+		cs.mu.Lock()
+		f.dev.ChannelWear(ch, cs.erase, nil)
+		for _, e := range cs.erase {
+			minE, maxE = min(minE, e), max(maxE, e)
 		}
-		if e > maxE {
-			maxE = e
-		}
+		cs.mu.Unlock()
 	}
-	return maxE - minE
+	return int(maxE - minE)
 }

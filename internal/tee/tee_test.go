@@ -242,9 +242,14 @@ func TestAllowSharedLPAsCompat(t *testing.T) {
 }
 
 func TestOversizedBinaryRejected(t *testing.T) {
-	rt, f := testRuntime(t)
+	_, f := testRuntime(t)
+	// A 1 MB TEE-heap region keeps the oversized image small.
+	rt, err := NewRuntime(f, Options{DRAMBytes: normalBase + 1<<20})
+	if err != nil {
+		t.Fatal(err)
+	}
 	lpas := writePages(t, f, 1, 0x60)
-	_, err := rt.CreateTEE(Config{Binary: make([]byte, 8<<30), LPAs: lpas})
+	_, err = rt.CreateTEE(Config{Binary: make([]byte, rt.HeapFree()+1), LPAs: lpas})
 	if !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("oversized binary returned %v", err)
 	}
