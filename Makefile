@@ -32,22 +32,10 @@ race:
 # stress, and the lock-free stats snapshot race. These are the tests that
 # protect the per-channel flash.Device sharding; `race` runs them too,
 # but a sharding regression should fail loudly and by name.
-#
-# It then runs the sharded-engine differential layer (serial-vs-sharded
-# transcript and Result equality) across a GOMAXPROCS matrix — 1 core
-# (dispatch and barriers fully interleaved), 2 cores, and the machine
-# default — because engine ordering bugs hide behind scheduler timing the
-# race detector only explores when real parallelism varies.
 race-shard:
 	$(GO) test -race -count 1 -v \
 		-run 'CrossChannelNoSharedLock|SnapshotRaceWithPrograms|CrossChannelWriteStormIntegrity|GCChannelIsolationUnderWriteStorm|GCOnHostageChannelDoesNotBlockOthers' \
 		./internal/flash ./internal/ftl
-	GOMAXPROCS=1 $(GO) test -race -count 1 \
-		-run 'Sharded|EngineWorkers|AdaptiveQuantum' ./internal/sim ./internal/core
-	GOMAXPROCS=2 $(GO) test -race -count 1 \
-		-run 'Sharded|EngineWorkers|AdaptiveQuantum' ./internal/sim ./internal/core
-	$(GO) test -race -count 1 \
-		-run 'Sharded|EngineWorkers|AdaptiveQuantum' ./internal/sim ./internal/core ./internal/experiments
 
 # trace-tests runs the trace-replay differential layer explicitly (and
 # verbosely) under the race detector: the golden-fixture and fuzz-seed
@@ -64,8 +52,8 @@ trace-tests:
 # verbosely) under the race detector: the deterministic fault-plan
 # contracts (same seed => same decisions), the device/FTL/TEE injection
 # seams, the circuit breaker's state machine, the core replay's
-# retry/backoff and determinism pins (pooled stacks, engine worker
-# counts, zero-plan bit-identity), the scheduler's drain-timeout
+# retry/backoff and determinism pins (pooled stacks, zero-plan
+# bit-identity), the scheduler's drain-timeout
 # straggler report, and the public error-taxonomy tests in the root
 # package. `race` runs them too, but a recovery regression should fail
 # loudly and by name.
@@ -82,7 +70,7 @@ race-fault:
 # (drain, migrate, re-admit, reopen), the migration data-integrity
 # property tests (read-back-identical plaintext, tamper => ErrIntegrity
 # through the public API), the fleet-replay determinism pins (pooled
-# stacks, engine worker counts, 1-device degeneracy), and the
+# stacks, 1-device degeneracy), and the
 # experiments-level byte-identical rerun check. `race` runs them too,
 # but a fleet regression should fail loudly and by name.
 race-fleet:
@@ -115,8 +103,8 @@ bench:
 
 # micro runs only the cipher, lock-sharding, die-pipelining,
 # admission-queueing, write-storm, mee-traffic, trace-replay,
-# fault-replay, fleet-replay, replay-setup, and parallel-replay
-# microbenchmarks (seconds, not minutes) and prints a human summary.
+# fault-replay, fleet-replay, and replay-setup microbenchmarks
+# (seconds, not minutes) and prints a human summary.
 # The die-pipelining, queueing, trace-replay, fault-replay, and
 # fleet-replay numbers are simulated time, so they are deterministic on
 # any machine.
@@ -170,13 +158,6 @@ profile:
 #     recover at least the committed tenant floor the micro prints, so a
 #     placement, health-scoring, or migration regression that strands
 #     tenants fails the gate by name.
-#   - The -micro parallel-replay section (the same multi-tenant RunMulti
-#     replay on the serial and the sharded virtual-time engine, wall
-#     clock) must beat the GOMAXPROCS-aware gate the micro prints —
-#     >= 1.5x with 4+ cores, >= 0.9x on fewer (where the gate only
-#     rejects sharded-engine overhead swamping the event loop) — AND
-#     report identical: true, because the sharded engine may spend cores
-#     only if it changes nothing.
 # Scratch outputs land under the gitignored out/. With benchstat
 # installed and a saved baseline (cp out/bench_new.txt out/bench_old.txt
 # before a change), it also prints an old-vs-new statistical comparison.
@@ -241,32 +222,22 @@ bench-compare:
 	        if (id != "true") { print "FAIL: a 1-device fleet diverged from the bare SSD - the placement/failover layer is not free when idle"; exit 1 } \
 	        if (rec+0 < floor+0) { print "FAIL: device-death sweep recovered fewer tenants than the committed floor"; exit 1 } \
 	      }' out/micro_new.txt
-	@awk '/^parallel replay speedup/ { ratio=$$4; gate=$$6 } \
-	      /^parallel replay identical:/ { id=$$4 } \
-	      END { \
-	        if (ratio == "" || id == "") { print "bench-compare: missing parallel-replay output"; exit 1 } \
-	        printf "sharded-engine replay speedup: %.2fx (gate %.2fx, results identical: %s)\n", ratio, gate, id; \
-	        if (id != "true") { print "FAIL: sharded engine diverged from the serial engine - parallel replay is not bit-identical"; exit 1 } \
-	        if (ratio+0 < gate+0) { print "FAIL: sharded replay below its gate - engine dispatch or barrier overhead is swamping the event loop"; exit 1 } \
-	      }' out/micro_new.txt
 	@if command -v benchstat >/dev/null 2>&1 && [ -f out/bench_old.txt ]; then \
 		benchstat out/bench_old.txt out/bench_new.txt; \
 	else \
 		echo "(install benchstat and save out/bench_old.txt for old-vs-new deltas)"; \
 	fi
 
-# fuzz gives each cipher/MEE/trace/engine fuzz target a short budget
+# fuzz gives each cipher/MEE/trace/fault fuzz target a short budget
 # beyond the committed regression corpus in testdata/fuzz. The Trivium
 # targets differentially check the word-parallel engine against the
 # bit-serial reference on every input; the traffic target does the same
 # for the batched traffic model against its per-line TrafficReference
 # oracle; the trace target pins that arbitrary CSV input parses to a
 # typed error or a well-formed schedule, never a panic or a silent row
-# drop; the sharded-engine target decodes arbitrary bytes into an event
-# program and requires the serial and sharded engines to produce
-# identical execution transcripts at several worker counts; the fault
-# target derives arbitrary plans and requires the decision stream to be
-# repeatable, probability-bounded, and panic-free at every site/ordinal.
+# drop; the fault target derives arbitrary plans and requires the
+# decision stream to be repeatable, probability-bounded, and panic-free
+# at every site/ordinal.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzKeystreamRoundTrip -fuzztime=20s ./internal/trivium
 	$(GO) test -run='^$$' -fuzz=FuzzEnginePageRoundTrip -fuzztime=20s ./internal/trivium
@@ -274,5 +245,4 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzEngineCounterReplay -fuzztime=20s ./internal/mee
 	$(GO) test -run='^$$' -fuzz=FuzzTrafficBatchedVsReference -fuzztime=20s ./internal/mee
 	$(GO) test -run='^$$' -fuzz=FuzzTraceReader -fuzztime=20s ./internal/trace
-	$(GO) test -run='^$$' -fuzz=FuzzShardedEngineTranscript -fuzztime=20s ./internal/sim
 	$(GO) test -run='^$$' -fuzz=FuzzFaultPlan -fuzztime=20s ./internal/fault

@@ -11,13 +11,13 @@
 //
 // With -micro it runs just the Trivium cipher, FTL lock-sharding,
 // die-pipelining, admission-queueing, write-storm, mee-traffic,
-// trace-replay, fault-replay, fleet-replay, replay-setup, and
-// parallel-replay microbenchmarks (methodology in docs/BENCHMARKS.md).
+// trace-replay, fault-replay, fleet-replay, and replay-setup
+// microbenchmarks (methodology in docs/BENCHMARKS.md).
 //
 // Usage:
 //
 //	iceclave-bench [-experiment "Figure 11"] [-csv] [-rows N]
-//	               [-parallel] [-workers N] [-engine-workers N] [-micro]
+//	               [-parallel] [-workers N] [-micro]
 //	               [-bench-json BENCH_results.json] [-tenants N] [-jobs N]
 package main
 
@@ -55,7 +55,6 @@ func main() {
 		jobs     = flag.Int("jobs", 4, "offloads per tenant in the -bench-json scheduler storm")
 		micro    = flag.Bool("micro", false, "run only the Trivium/FTL/die-pipelining/queueing/mee-traffic microbenchmarks and print a summary")
 		cpuprof  = flag.String("cpuprofile", "", "profile the serial evaluation suite: write a CPU pprof of one full All() pass to this file (make profile)")
-		engineW  = flag.Int("engine-workers", 0, "replay every experiment on the sharded virtual-time engine with this many shard workers (0/1 = serial engine; output is bit-identical either way)")
 	)
 	flag.Parse()
 
@@ -80,9 +79,6 @@ func main() {
 	suite := experiments.NewSuite(sc, core.DefaultConfig())
 	if *parallel {
 		suite.SetWorkers(*workers)
-	}
-	if *engineW > 1 {
-		suite.SetEngineWorkers(*engineW)
 	}
 
 	if *benchOut != "" {
@@ -175,18 +171,17 @@ type benchResults struct {
 	SuiteSpeedup    float64 `json:"suite_speedup"`
 	OutputIdentical bool    `json:"output_identical"`
 
-	Scheduler      schedResults          `json:"scheduler"`
-	Trivium        triviumResults        `json:"trivium_keystream"`
-	FTL            ftlResults            `json:"ftl_sharded_locks"`
-	DieOverlap     dieOverlapResults     `json:"die_pipelining"`
-	Queueing       queueingResults       `json:"admission_queueing"`
-	WriteStorm     writeStormResults     `json:"write_storm"`
-	MEETraffic     meeTrafficResults     `json:"mee_traffic"`
-	TraceReplay    traceReplayResults    `json:"trace_replay"`
-	ResourcePool   resourcePoolResults   `json:"resource_pool"`
-	ParallelReplay parallelReplayResults `json:"parallel_replay"`
-	FaultReplay    faultReplayResults    `json:"fault_replay"`
-	FleetReplay    fleetReplayResults    `json:"fleet_replay"`
+	Scheduler    schedResults        `json:"scheduler"`
+	Trivium      triviumResults      `json:"trivium_keystream"`
+	FTL          ftlResults          `json:"ftl_sharded_locks"`
+	DieOverlap   dieOverlapResults   `json:"die_pipelining"`
+	Queueing     queueingResults     `json:"admission_queueing"`
+	WriteStorm   writeStormResults   `json:"write_storm"`
+	MEETraffic   meeTrafficResults   `json:"mee_traffic"`
+	TraceReplay  traceReplayResults  `json:"trace_replay"`
+	ResourcePool resourcePoolResults `json:"resource_pool"`
+	FaultReplay  faultReplayResults  `json:"fault_replay"`
+	FleetReplay  fleetReplayResults  `json:"fleet_replay"`
 }
 
 // resourcePoolResults records the replay-stack pool's activity across the
@@ -301,7 +296,6 @@ func runBench(sc workload.Scale, workers, tenants, jobs int, outPath string) err
 		WriteStorm:      mr.WriteStorm,
 		MEETraffic:      mr.MEETraffic,
 		TraceReplay:     mr.TraceReplay,
-		ParallelReplay:  mr.Parallel,
 		FaultReplay:     mr.FaultReplay,
 		FleetReplay:     mr.FleetReplay,
 		ResourcePool: resourcePoolResults{

@@ -373,10 +373,11 @@ func benchWriteStorm() (writeStormResults, error) {
 	if err != nil {
 		return writeStormResults{}, err
 	}
-	// Like parallel_replay: interleaved reps, each leg reporting its
-	// fastest, so one GC pause or scheduler hiccup on a 1-CPU box cannot
-	// sink the ratio. Each storm ends with every block erased, so a device
-	// is reused across its leg's reps.
+	// Interleaved reps, each leg reporting its fastest (min-of-N from
+	// alternating samples), so one GC pause or scheduler hiccup on a 1-CPU
+	// box cannot sink the ratio and a drifting environment cannot bias one
+	// leg. Each storm ends with every block erased, so a device is reused
+	// across its leg's reps.
 	runtime.GC()
 	rep := func(leg func(*flash.Device) error, d *flash.Device, best *float64) error {
 		start := time.Now()
@@ -913,125 +914,6 @@ func benchReplaySetup() (replaySetupResults, error) {
 	}, nil
 }
 
-// parallelReplayResults records the sharded-engine microbenchmark: the
-// same multi-tenant RunMulti replay through the serial event loop
-// (EngineWorkers=0) and through the sharded engine with one worker per
-// available core. Results must be struct-identical — the sharded engine
-// exists to spend cores, never to change a bit. The speedup is wall
-// clock, so on a 1-CPU container it sits near 1x and the gate floor
-// adapts to GOMAXPROCS the same way the write-storm gate does; on a
-// multi-core box the prepare pipeline overlaps per-tenant MEE charge
-// computation with the coordinator and the floor rises (see
-// docs/BENCHMARKS.md, "parallel_replay").
-type parallelReplayResults struct {
-	Tenants          int     `json:"tenants"`
-	EngineWorkers    int     `json:"engine_workers"`
-	Runs             int     `json:"runs_per_leg"`
-	SerialNsPerRun   int64   `json:"serial_ns_per_run"`
-	ShardedNsPerRun  int64   `json:"sharded_ns_per_run"`
-	Speedup          float64 `json:"speedup"`
-	GateFloor        float64 `json:"gate_floor"`
-	GOMAXPROCS       int     `json:"gomaxprocs"`
-	ResultsIdentical bool    `json:"results_identical"`
-}
-
-// parallelReplayGate returns the bench-compare floor for the sharded
-// replay speedup: with >= 4 cores the prepare pipeline must buy at least
-// 1.5x; with fewer cores wall-clock parallelism is unavailable and the
-// gate only rejects the sharded engine regressing well below serial —
-// the signature of dispatch overhead or a barrier stall swamping the
-// event loop.
-func parallelReplayGate(procs int) float64 {
-	if procs >= 4 {
-		return 1.5
-	}
-	return 0.9
-}
-
-// benchParallelReplay replays a four-tenant IceClave-mode mix through
-// RunMulti with the serial engine and with the sharded engine, checks
-// the Result slices are struct-identical, and times both legs.
-func benchParallelReplay() (parallelReplayResults, error) {
-	const runs = 10
-	names := []string{"TPC-H Q1", "Aggregate", "TPC-B", "Filter"}
-	traces := make([]*workload.Trace, len(names))
-	for i, name := range names {
-		w, err := workload.ByName(name)
-		if err != nil {
-			return parallelReplayResults{}, err
-		}
-		if traces[i], err = workload.Record(w, workload.TinyScale(), 4096); err != nil {
-			return parallelReplayResults{}, err
-		}
-	}
-	cfg := core.DefaultConfig()
-	cfg.AdmissionSlots = 2 // queueing keeps the admission path in the loop
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 2 {
-		workers = 2
-	}
-
-	serialCfg, shardedCfg := cfg, cfg
-	shardedCfg.EngineWorkers = workers
-	// Warm runs: pool and trace caches settle before the timed reps, and
-	// these are also the Result slices the identity gate compares.
-	serialRes, err := core.RunMulti(traces, core.ModeIceClave, serialCfg)
-	if err != nil {
-		return parallelReplayResults{}, err
-	}
-	shardedRes, err := core.RunMulti(traces, core.ModeIceClave, shardedCfg)
-	if err != nil {
-		return parallelReplayResults{}, err
-	}
-	// The reps interleave the two legs and each leg reports its fastest:
-	// min-of-N from alternating samples discards GC pauses and container
-	// scheduling noise (which on a 1-CPU box dwarf the ~1ms runs being
-	// compared) without letting a drifting environment bias one leg. The
-	// forced GC starts the reps from a clean heap — -bench-json runs this
-	// right after the full suite passes, which leave collection debt
-	// behind.
-	runtime.GC()
-	rep := func(c core.Config, best *int64) error {
-		start := time.Now()
-		if _, err := core.RunMulti(traces, core.ModeIceClave, c); err != nil {
-			return err
-		}
-		if ns := time.Since(start).Nanoseconds(); *best == 0 || ns < *best {
-			*best = ns
-		}
-		return nil
-	}
-	var serialNs, shardedNs int64
-	for i := 0; i < runs; i++ {
-		if err := rep(serialCfg, &serialNs); err != nil {
-			return parallelReplayResults{}, err
-		}
-		if err := rep(shardedCfg, &shardedNs); err != nil {
-			return parallelReplayResults{}, err
-		}
-	}
-	identical := len(serialRes) == len(shardedRes)
-	if identical {
-		for i := range serialRes {
-			if serialRes[i] != shardedRes[i] {
-				identical = false
-				break
-			}
-		}
-	}
-	return parallelReplayResults{
-		Tenants:          len(traces),
-		EngineWorkers:    workers,
-		Runs:             runs,
-		SerialNsPerRun:   serialNs,
-		ShardedNsPerRun:  shardedNs,
-		Speedup:          float64(serialNs) / float64(shardedNs),
-		GateFloor:        parallelReplayGate(runtime.GOMAXPROCS(0)),
-		GOMAXPROCS:       runtime.GOMAXPROCS(0),
-		ResultsIdentical: identical,
-	}, nil
-}
-
 // microResults bundles the microbenchmark sections that -micro prints and
 // -bench-json embeds in the JSON record.
 type microResults struct {
@@ -1045,7 +927,6 @@ type microResults struct {
 	FaultReplay faultReplayResults
 	FleetReplay fleetReplayResults
 	ReplaySetup replaySetupResults
-	Parallel    parallelReplayResults
 }
 
 // runMicro executes the cipher, FTL lock-sharding, die-pipelining,
@@ -1076,9 +957,6 @@ func runMicro() (microResults, error) {
 		return mr, err
 	}
 	if mr.ReplaySetup, err = benchReplaySetup(); err != nil {
-		return mr, err
-	}
-	if mr.Parallel, err = benchParallelReplay(); err != nil {
 		return mr, err
 	}
 	tr, fr, dr, qr, wr := mr.Trivium, mr.FTL, mr.DieOverlap, mr.Queueing, mr.WriteStorm
@@ -1137,12 +1015,5 @@ func runMicro() (microResults, error) {
 		rs.Runs, rs.PoolHits, rs.PoolMisses)
 	fmt.Printf("replay setup gate %.2f speedup %.2f stats-identical %v\n",
 		rs.GateFloor, rs.SetupSpeedup, rs.StatsIdentical)
-	pr := mr.Parallel
-	fmt.Printf("parallel replay: serial %s/run, sharded (%d workers) %s/run over %d runs x %d tenants\n",
-		time.Duration(pr.SerialNsPerRun), pr.EngineWorkers,
-		time.Duration(pr.ShardedNsPerRun), pr.Runs, pr.Tenants)
-	fmt.Printf("parallel replay speedup %.3f gate %.2f (GOMAXPROCS=%d, wall-clock; see docs/BENCHMARKS.md)\n",
-		pr.Speedup, pr.GateFloor, pr.GOMAXPROCS)
-	fmt.Printf("parallel replay identical: %v\n", pr.ResultsIdentical)
 	return mr, nil
 }

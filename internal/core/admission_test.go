@@ -114,3 +114,46 @@ func TestBatchedAdmissionAlignsGrantsToQuantum(t *testing.T) {
 			got, want, perRelease[1].QueueDelay)
 	}
 }
+
+// TestAdaptiveQuantumTradesTicksForDelay pins the adaptive tick's trade:
+// on a four-tenant mix queued behind two slots, a queue-scaled tick runs
+// more scheduling passes than the fixed quantum but strictly less mean
+// queueing delay.
+func TestAdaptiveQuantumTradesTicksForDelay(t *testing.T) {
+	traces := []*workload.Trace{
+		recordTrace(t, "TPC-H Q1"),
+		recordTrace(t, "Aggregate"),
+		recordTrace(t, "TPC-B"),
+		recordTrace(t, "Filter"),
+	}
+	cfg := DefaultConfig()
+	cfg.AdmissionSlots = 2
+	cfg.AdmissionQuantum = sim.Millisecond
+	cfg.AdmissionBatch = 2
+	fixed, fixedStats, err := RunMultiStats(traces, ModeIceClave, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.AdmissionQuantumFloor = 125 * sim.Microsecond
+	adaptive, adaptiveStats, err := RunMultiStats(traces, ModeIceClave, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fixedStats.AdmissionTicks == 0 {
+		t.Fatal("batched run reported no scheduling passes")
+	}
+	var fixedQ, adaptQ sim.Duration
+	for i := range fixed {
+		fixedQ += fixed[i].QueueDelay
+		adaptQ += adaptive[i].QueueDelay
+	}
+	if adaptQ > fixedQ {
+		t.Errorf("adaptive quantum increased queue delay: %v > %v", adaptQ, fixedQ)
+	}
+	if adaptQ == fixedQ && adaptiveStats.AdmissionTicks == fixedStats.AdmissionTicks {
+		t.Errorf("adaptive quantum changed nothing (ticks %d, delay %v)",
+			fixedStats.AdmissionTicks, fixedQ)
+	}
+	t.Logf("fixed: ticks=%d queue=%v; adaptive: ticks=%d queue=%v",
+		fixedStats.AdmissionTicks, fixedQ, adaptiveStats.AdmissionTicks, adaptQ)
+}

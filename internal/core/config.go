@@ -138,16 +138,6 @@ type Config struct {
 	// for the experiment suite's memo keys; RunMulti translates it into
 	// the sim layer's AdaptiveQuantum policy hook.
 	AdmissionQuantumFloor sim.Duration
-	// EngineWorkers selects the replay's event engine: 0 or 1 (the
-	// default) is the exact serial sim.Engine; >= 2 runs the sharded
-	// parallel engine with per-channel event shards and that many workers,
-	// bit-identical to serial by construction (the differential tests in
-	// this package pin it). Worker count never affects Results — only wall
-	// clock — so it deliberately participates in Config comparisons the
-	// same way any knob does: suite memo keys treat different worker
-	// counts as different runs, which is also what lets the benchmark
-	// harness time them separately.
-	EngineWorkers int
 	// ArrivalSchedule, when non-nil, switches RunMulti to open-loop
 	// playback: tenant i submits at Submissions[i].At with that entry's
 	// priority band and tenant key (the trace name when the entry's key is

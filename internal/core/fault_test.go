@@ -89,19 +89,6 @@ func TestFaultReplayIdenticalAcrossPooledStacks(t *testing.T) {
 	}
 }
 
-// The same seed and plan must yield identical Results across engine
-// worker counts — fault decisions key on per-channel ordinals, which the
-// sharded engine's deterministic event order preserves.
-func TestFaultReplayIdenticalAcrossEngineWorkers(t *testing.T) {
-	traces := faultMix(t)
-	cfg := DefaultConfig()
-	cfg.AdmissionSlots = 2
-	cfg.FaultPlan = testFaultPlan()
-	for _, workers := range []int{2, 3} {
-		runBoth(t, traces, ModeIceClave, cfg, workers)
-	}
-}
-
 // A die death mid-run degrades gracefully: the run completes (no
 // deadlock, no panic), recovery is visible in the stats, and any tenant
 // that failed still reports a coherent Result.

@@ -250,81 +250,6 @@ func newResources(cfg Config, traces []*workload.Trace) (*resources, []uint32, e
 	return res, offsets, nil
 }
 
-// Parallel-replay prepare pipeline sizing: each tenant's MEE charge
-// stream may run up to prepDepth steps ahead of its commits, computed
-// prepBatch steps per shard event so dispatch overhead amortizes. The
-// pipe channel holds prepDepth/prepBatch batches, so a prepare event can
-// never block on a full channel (at most prepDepth scheduled-unconsumed
-// steps exist by the pump invariant) — which is what keeps shard workers
-// from ever waiting on the coordinator.
-const (
-	prepDepth = 4096
-	prepBatch = 256
-)
-
-// prepPipe carries one tenant's precomputed MEE charges from its shard
-// worker to the commit loop on the coordinator. Everything except ch,
-// free, and workerNext is coordinator-owned. free recycles fully-consumed
-// batch buffers back to the worker, so the steady-state pipeline
-// allocates nothing — the sharded leg must not generate garbage (and
-// therefore GC debt) the serial leg does not.
-type prepPipe struct {
-	ch        chan []sim.Duration
-	free      chan []sim.Duration
-	buf       []sim.Duration
-	bufIdx    int
-	nextBatch int
-	nBatches  int
-	consumed  int
-
-	// workerNext is the next batch index the shard worker will compute.
-	// It is worker-owned: prepare events for one tenant all land on one
-	// shard, execute FIFO in dispatch order, and dispatch order is batch
-	// order, so a single reusable prepare closure can track the index
-	// itself instead of capturing it (one closure per batch is garbage the
-	// hot path doesn't need).
-	workerNext int
-}
-
-func newPrepPipe(totalSteps int) *prepPipe {
-	return &prepPipe{
-		ch:       make(chan []sim.Duration, prepDepth/prepBatch),
-		free:     make(chan []sim.Duration, prepDepth/prepBatch),
-		nBatches: (totalSteps + prepBatch - 1) / prepBatch,
-	}
-}
-
-// next returns the charge for the next step in order, blocking until its
-// batch's prepare event (always dispatched before the consuming commit by
-// the pump ordering) has completed on the shard worker.
-func (p *prepPipe) next() sim.Duration {
-	if p.bufIdx == len(p.buf) {
-		if p.buf != nil {
-			select {
-			case p.free <- p.buf:
-			default:
-			}
-		}
-		p.buf = <-p.ch
-		p.bufIdx = 0
-	}
-	v := p.buf[p.bufIdx]
-	p.bufIdx++
-	p.consumed++
-	return v
-}
-
-// getBuf returns a recycled batch buffer, or a fresh one while the
-// pipeline warms up. Worker-side.
-func (p *prepPipe) getBuf() []sim.Duration {
-	select {
-	case b := <-p.free:
-		return b[:0]
-	default:
-		return make([]sim.Duration, 0, prepBatch)
-	}
-}
-
 // tenant replays one trace against shared resources.
 type tenant struct {
 	res    *resources
@@ -333,20 +258,6 @@ type tenant struct {
 	offset uint32
 	rng    *sim.RNG
 	meeM   *mee.TrafficModel
-
-	// shard and pre are set only on the sharded engine (EngineWorkers >
-	// 1) for modes with an MEE model: the tenant's charge stream is
-	// precomputed on event shard `shard` (its channel by FTL affinity)
-	// and consumed through pre in exact step order. The charge
-	// computation is timing-independent — it reads only static step
-	// fields and tenant-private model state (meeM, rng, heapScratch) — so
-	// moving it off the commit path cannot change any Result bit.
-	shard int
-	pre   *prepPipe
-	// prepFn is the single reusable prepare-event callback (see
-	// prepPipe.workerNext); scheduling it repeatedly avoids a closure
-	// allocation per batch.
-	prepFn func(sim.Time)
 
 	// arrival is the tenant's scheduled submission instant; zero without
 	// an ArrivalSchedule. QueueDelay and Total count from it.
@@ -526,18 +437,8 @@ func (t *tenant) computePhase(st workload.Step) {
 		}
 	}
 	// MEE charges for the compute window's memory traffic (IceClave only).
-	// On the sharded engine the charge was precomputed on the tenant's
-	// event shard; consuming it here in step order applies the identical
-	// sequence of exposures (steps without memory traffic carry a zero,
-	// preserving the RNG and model state stream exactly).
-	if t.meeM != nil {
-		if t.pre != nil {
-			exposed := t.pre.next()
-			t.now += exposed
-			t.result.SecurityTime += exposed
-		} else if st.PreMemReads > 0 || st.PreMemWrites > 0 {
-			t.chargeMEE(st)
-		}
+	if t.meeM != nil && (st.PreMemReads > 0 || st.PreMemWrites > 0) {
+		t.chargeMEE(st)
 	}
 }
 
@@ -558,17 +459,6 @@ func (t *tenant) computePhase(st workload.Step) {
 // (mee's differential suite pins the model side; the suite's
 // output_identical check pins end to end).
 func (t *tenant) chargeMEE(st workload.Step) {
-	exposed := t.chargeCost(st)
-	t.now += exposed
-	t.result.SecurityTime += exposed
-}
-
-// chargeCost is chargeMEE's computation half: it advances the tenant's
-// MEE model, RNG, and scratch state and returns the exposed duration
-// without applying it to the clock. It touches no shared or
-// timing-dependent state, which is what lets the sharded engine run it
-// ahead on a parallel worker.
-func (t *tenant) chargeCost(st workload.Step) sim.Duration {
 	sampling := int64(t.res.cfg.MEESampling)
 	if sampling < 1 {
 		sampling = 1
@@ -604,59 +494,9 @@ func (t *tenant) chargeCost(st workload.Step) sim.Duration {
 	}
 	extra += t.meeM.AccessMany(addrs[:nr], false)
 	extra += t.meeM.AccessMany(addrs[nr:], true)
-	return sim.Duration(float64(extra) * t.res.cfg.MEEExposure)
-}
-
-// stepAt returns step k of the replay's step sequence; index len(Steps)
-// is the tail compute, matching advance.
-func (t *tenant) stepAt(k int) workload.Step {
-	if k == len(t.trace.Steps) {
-		return t.trace.Tail
-	}
-	return t.trace.Steps[k]
-}
-
-// prepareNextBatch computes the MEE charges for the worker's next prepare
-// batch (workerNext — see prepPipe; dispatch order is batch order, so the
-// worker can track the index itself). It runs on the tenant's event shard
-// and touches only tenant-private state; steps without memory traffic
-// contribute a zero without touching the model, exactly mirroring the
-// serial chargeMEE guard.
-func (t *tenant) prepareNextBatch() {
-	p := t.pre
-	b := p.workerNext
-	p.workerNext++
-	start := b * prepBatch
-	end := start + prepBatch
-	if total := len(t.trace.Steps) + 1; end > total {
-		end = total
-	}
-	out := p.getBuf()
-	for k := start; k < end; k++ {
-		st := t.stepAt(k)
-		var d sim.Duration
-		if st.PreMemReads > 0 || st.PreMemWrites > 0 {
-			d = t.chargeCost(st)
-		}
-		out = append(out, d)
-	}
-	p.ch <- out
-}
-
-// pumpPrepares schedules prepare batches on the tenant's shard until the
-// stream is prepDepth steps ahead of consumption. Coordinator-only. The
-// ordering invariant the pipeline rests on: a batch is always scheduled
-// (at the current instant, with a smaller seq) before the commit event
-// that first consumes it is scheduled, so in the engine's global
-// (time, seq) order the prepare is dispatched to its worker before the
-// consuming commit runs — the blocking receive in prepPipe.next can only
-// ever wait on in-flight work, never on an unscheduled batch.
-func (t *tenant) pumpPrepares(eng sim.Backbone) {
-	p := t.pre
-	for p.nextBatch < p.nBatches && p.nextBatch*prepBatch < p.consumed+prepDepth {
-		p.nextBatch++
-		eng.AtShard(t.shard, eng.Now(), t.prepFn)
-	}
+	exposed := sim.Duration(float64(extra) * t.res.cfg.MEEExposure)
+	t.now += exposed
+	t.result.SecurityTime += exposed
 }
 
 // issueAhead issues queued read steps until the prefetch window is full,
@@ -901,7 +741,7 @@ func retryPolicy(cfg Config) sched.RetryPolicy {
 // (parked until the half-open probe window when the circuit is open) or
 // fail the offload once the step's retry budget or the offload deadline
 // is exhausted.
-func (t *tenant) faultEvent(eng sim.Backbone, adm *sched.VirtualAdmission, ticket *sim.Ticket) {
+func (t *tenant) faultEvent(eng *sim.Engine, adm *sched.VirtualAdmission, ticket *sim.Ticket) {
 	t.attempts++
 	if t.breaker != nil && t.breaker.Failure(t.now) {
 		t.result.BreakerTrips++
@@ -922,7 +762,7 @@ func (t *tenant) faultEvent(eng sim.Backbone, adm *sched.VirtualAdmission, ticke
 		}
 	}
 	t.now = next
-	eng.AtOverlap(t.now, func(sim.Time) { t.stepEvent(eng, adm, ticket) })
+	eng.At(t.now, func(sim.Time) { t.stepEvent(eng, adm, ticket) })
 }
 
 // fail abandons the offload: the tenant stops consuming its trace,
@@ -939,19 +779,11 @@ func (t *tenant) fail(adm *sched.VirtualAdmission, ticket *sim.Ticket) {
 	adm.Release(ticket, t.now)
 }
 
-// stepEvent is one backbone event: replay one step, then reschedule at the
+// stepEvent is one engine event: replay one step, then reschedule at the
 // tenant's advanced clock. A drained trace charges the deletion cost and
 // releases the admission slot — which is what lets a queued tenant's grant
 // fire at this tenant's virtual completion time.
-//
-// Commits are AtOverlap events: on the sharded engine they run on the
-// coordinator in exact global order but without the barrier, because the
-// only state they share with in-flight shard work is the prepare pipe —
-// whose channel is the synchronization. Everything else a commit touches
-// (servers, caches, FTL, device) is coordinator-confined during a
-// parallel run. On the serial engine AtOverlap is At, so this is the
-// pre-sharding behaviour verbatim.
-func (t *tenant) stepEvent(eng sim.Backbone, adm *sched.VirtualAdmission, ticket *sim.Ticket) {
+func (t *tenant) stepEvent(eng *sim.Engine, adm *sched.VirtualAdmission, ticket *sim.Ticket) {
 	if t.done() {
 		if t.mode == ModeIceClave {
 			t.now += t.res.cfg.Costs.Delete
@@ -980,10 +812,7 @@ func (t *tenant) stepEvent(eng sim.Backbone, adm *sched.VirtualAdmission, ticket
 			t.breaker.Success(t.now)
 		}
 	}
-	if t.pre != nil {
-		t.pumpPrepares(eng)
-	}
-	eng.AtOverlap(t.now, func(sim.Time) { t.stepEvent(eng, adm, ticket) })
+	eng.At(t.now, func(sim.Time) { t.stepEvent(eng, adm, ticket) })
 }
 
 // RunMulti replays several traces concurrently against shared hardware —
@@ -1057,17 +886,7 @@ func RunMultiStats(traces []*workload.Trace, mode Mode, cfg Config) ([]Result, R
 			})
 		}
 	}
-	// Engine selection: the exact serial loop by default, the sharded
-	// parallel engine (one event shard per flash channel) when the
-	// configuration asks for workers. Everything downstream is written
-	// against the Backbone interface and produces bit-identical Results
-	// either way.
-	var eng sim.Backbone
-	if cfg.EngineWorkers > 1 {
-		eng = sim.NewShardedEngine(res.dev.Geometry().Channels, cfg.EngineWorkers)
-	} else {
-		eng = &sim.Engine{}
-	}
+	eng := &sim.Engine{}
 	vcfg := sched.VirtualConfig{
 		MaxInFlight:       cfg.AdmissionSlots,
 		TenantMaxInFlight: cfg.AdmissionTenantSlots,
@@ -1085,11 +904,6 @@ func RunMultiStats(traces []*workload.Trace, mode Mode, cfg Config) ([]Result, R
 		}
 	}
 	adm := sched.NewVirtualAdmission(eng, vcfg)
-	// Build every tenant (and, on the sharded engine, seed its prepare
-	// pipeline on its channel's event shard) before any submission: the
-	// initial prepare events must precede every grant in the engine's
-	// (time, seq) order so a commit can never consume a batch that was not
-	// yet dispatched.
 	tenants := make([]*tenant, len(traces))
 	for i, tr := range traces {
 		tn := newTenant(res, tr, mode, offsets[i], cfg.Seed+uint64(i)*7919)
@@ -1107,19 +921,6 @@ func RunMultiStats(traces []*workload.Trace, mode Mode, cfg Config) ([]Result, R
 				}
 				tn.breaker = breakers.For(key)
 			}
-		}
-		// The MEE prepare pipeline runs charge computation ahead of the
-		// commits, so a tenant that fails mid-trace would have advanced
-		// its MEE model past the failure point by up to prepDepth steps —
-		// making Result.MEE depend on prefetch depth and diverge from the
-		// serial engine. Under a fault plan (where failure is possible)
-		// the sharded engine therefore computes charges inline on the
-		// coordinator, trading prepare parallelism for exactness.
-		if cfg.EngineWorkers > 1 && tn.meeM != nil && !injecting {
-			tn.shard = res.ftl.ChannelOf(ftl.LPA(offsets[i]))
-			tn.pre = newPrepPipe(len(tr.Steps) + 1)
-			tn.prepFn = func(sim.Time) { tn.prepareNextBatch() }
-			tn.pumpPrepares(eng)
 		}
 		tenants[i] = tn
 	}

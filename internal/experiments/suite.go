@@ -136,20 +136,6 @@ func (s *Suite) SetWorkers(n int) *Suite {
 // Workers returns the configured replay parallelism.
 func (s *Suite) Workers() int { return s.workers }
 
-// SetEngineWorkers sets core.Config.EngineWorkers for every replay the
-// suite runs: 0/1 is the exact serial event engine, >= 2 the sharded
-// parallel engine (bit-identical results, so every table and figure is
-// byte-identical at any setting — the parallel_replay bench gate pins
-// this). Returns the suite for chaining. Like SetWorkers, call before
-// sharing the suite.
-func (s *Suite) SetEngineWorkers(n int) *Suite {
-	if n < 0 {
-		n = 0
-	}
-	s.Config.EngineWorkers = n
-	return s
-}
-
 // SetMemoize toggles the replay-result cache (on by default) and returns
 // the suite for chaining. Turning it off makes every run replay fresh —
 // the honest mode for wall-clock benchmarking of the replay engine.

@@ -4,8 +4,8 @@
 // failures) plus scripted one-shot faults (a die dying at a given
 // virtual time). Decisions are pure functions of (seed, site, ordinal):
 // the plan keeps no mutable state, so the same plan replays identically
-// across fresh and pooled stacks and across EngineWorkers settings, and
-// a *Plan can live inside core.Config without breaking comparability.
+// across fresh and pooled stacks, and a *Plan can live inside
+// core.Config without breaking comparability.
 package fault
 
 import (

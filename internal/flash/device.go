@@ -221,13 +221,6 @@ func NewDevice(geo Geometry, timing Timing) (*Device, error) {
 // Geometry returns the device geometry.
 func (d *Device) Geometry() Geometry { return d.geo }
 
-// Affinity returns the event-shard tag for operations on p: its channel
-// index. Die and bus servers, page state, and timing reservations are all
-// channel-local (per-channel shards since PR 4), so two operations with
-// different Affinity values share no device state and their event streams
-// may execute on different workers of a sharded engine.
-func (d *Device) Affinity(p PPA) int { return d.geo.ChannelOf(p) }
-
 // Timing returns the device timing parameters.
 func (d *Device) Timing() Timing { return d.timing }
 

@@ -30,7 +30,7 @@ const DefaultHealthFloor = 0.5
 //     clean its retirement counters look.
 //
 // The inputs are the virtual-time counters every replay already
-// produces (deterministic across pooled stacks and engine workers), so
+// produces (deterministic across fresh and pooled stacks), so
 // the score — plain float64 arithmetic in a fixed order — is as
 // replayable as the counters themselves.
 const (

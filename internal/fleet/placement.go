@@ -15,7 +15,7 @@
 //     on the discrete-event clock, an epoch health evaluation, and a
 //     modeled migration latency — identical seeds replay identical
 //     failover decisions and identical post-migration Results across
-//     pooled stacks and engine worker counts, and a 1-device fleet is
+//     fresh and pooled stacks, and a 1-device fleet is
 //     results-identical to a bare SSD (see ARCHITECTURE.md, "Fleet
 //     placement and failover").
 package fleet

@@ -126,11 +126,10 @@ type ReplayReport struct {
 // tenants re-admitted on the healthiest target in a recovery wave).
 //
 // Everything is deterministic: placement is a pure hash, device epochs
-// are core replays (bit-identical across pooled stacks and
-// EngineWorkers counts), health scores are arithmetic over replay
-// counters, and targets are chosen by (score, lowest-ID) — so identical
-// seeds replay identical failover decisions and identical
-// post-migration Results. A 1-device fleet degenerates to exactly one
+// are core replays (bit-identical across pooled stacks), health scores
+// are arithmetic over replay counters, and targets are chosen by (score,
+// lowest-ID) — so identical seeds replay identical failover decisions
+// and identical post-migration Results. A 1-device fleet degenerates to exactly one
 // core.RunMultiStats over the tenants in input order: results-identical
 // to the bare SSD.
 func Replay(tenants []ReplayTenant, mode core.Mode, rc ReplayConfig) (*ReplayReport, error) {

@@ -400,14 +400,6 @@ func (f *FTL) Device() *flash.Device { return f.dev }
 // Stripes returns the number of mapping-table lock stripes.
 func (f *FTL) Stripes() int { return len(f.stripes) }
 
-// ChannelOf returns the flash channel every access to l lands on — the
-// write-path channel (pickChannel) and, because a mapping stripe never
-// spans channels, the stripe's channel too. It is the shard-affinity tag
-// for l: events confined to one LPA range with one ChannelOf value touch
-// channel-local device and mapping state only, so the parallel replay
-// engine may place them on that channel's event shard.
-func (f *FTL) ChannelOf(l LPA) int { return f.pickChannel(l) }
-
 // Stats returns a consistent-enough snapshot of the activity counters
 // (each counter is atomic; the snapshot is not a cross-counter barrier).
 func (f *FTL) Stats() Stats {

@@ -49,7 +49,7 @@ func (p RetryPolicy) BackoffFor(attempt int) sim.Duration {
 // Breakers is a set of per-tenant circuit breakers keyed by tenant name,
 // sharing one configuration. Like the breakers themselves it follows the
 // sim single-goroutine contract: on the replay path it is touched only
-// from coordinator-run events.
+// from engine events.
 type Breakers struct {
 	cfg sim.BreakerConfig
 	m   map[string]*sim.Breaker

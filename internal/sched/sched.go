@@ -295,7 +295,11 @@ func (s *Scheduler) next(w int) *job {
 			if pref := ts.stats.LastWorker; pref >= 0 && pref != w && s.idle[pref] {
 				continue // cache affinity: the warm worker is free; let it claim
 			}
-			s.queues[p] = append(q[:i:i], q[i+1:]...)
+			// Remove in place: shift the tail down and clear the vacated
+			// slot, so a dequeue never reallocates a deep queue.
+			copy(q[i:], q[i+1:])
+			q[len(q)-1] = nil
+			s.queues[p] = q[:len(q)-1]
 			return j
 		}
 	}

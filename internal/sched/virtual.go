@@ -53,10 +53,8 @@ type VirtualAdmission struct {
 }
 
 // NewVirtualAdmission builds the gate over eng with the scheduler's three
-// priority bands. Any sim.Scheduler works — the serial sim.Engine or the
-// sharded parallel engine; grants are cross-shard (fenced) events either
-// way, so the gate's bookkeeping never races with shard workers.
-func NewVirtualAdmission(eng sim.Scheduler, cfg VirtualConfig) *VirtualAdmission {
+// priority bands.
+func NewVirtualAdmission(eng *sim.Engine, cfg VirtualConfig) *VirtualAdmission {
 	return &VirtualAdmission{
 		adm: sim.NewAdmissionWithPolicy(eng, int(numPriorities), sim.Policy{
 			Slots:           cfg.MaxInFlight,

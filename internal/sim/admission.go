@@ -26,7 +26,7 @@ package sim
 // Like Server, Admission is single-goroutine by the package contract; all
 // concurrency it models is virtual.
 type Admission struct {
-	eng      Scheduler
+	eng      *Engine
 	bands    [][]*Ticket
 	slots    int      // global concurrent-grant cap; <= 0 means unlimited
 	perKey   int      // per-key concurrent-grant cap; <= 0 means unlimited
@@ -95,13 +95,13 @@ func (t *Ticket) Waited() Duration {
 // of priority bands (band bands-1 is the highest), a global slot cap, and
 // a per-key cap. Non-positive caps mean unlimited. It panics if bands < 1
 // or eng is nil.
-func NewAdmission(eng Scheduler, bands, slots, perKey int) *Admission {
+func NewAdmission(eng *Engine, bands, slots, perKey int) *Admission {
 	return NewAdmissionWithPolicy(eng, bands, Policy{Slots: slots, PerKey: perKey})
 }
 
 // NewAdmissionWithPolicy builds a gate with the full policy, including
 // the batched-grant mode. It panics if bands < 1 or eng is nil.
-func NewAdmissionWithPolicy(eng Scheduler, bands int, pol Policy) *Admission {
+func NewAdmissionWithPolicy(eng *Engine, bands int, pol Policy) *Admission {
 	if eng == nil {
 		panic("sim: NewAdmission needs an engine")
 	}
@@ -139,7 +139,7 @@ func (a *Admission) grant(t *Ticket, at Time) {
 	a.byKey[t.Key]++
 	a.granted++
 	a.waited += at - t.Submitted
-	a.eng.At(at, func(now Time) { t.fn(now) })
+	a.eng.At(at, t.fn)
 }
 
 // Submit enqueues a request at virtual time at; fn runs (as an engine
@@ -278,7 +278,11 @@ func (a *Admission) dispatchUpTo(at Time, max int) int {
 				i++ // work-conserving: skip the capped key, try later tickets
 				continue
 			}
-			q = append(q[:i:i], q[i+1:]...)
+			// Remove in place: shift the tail down and clear the vacated
+			// slot, so a grant never reallocates a deep queue.
+			copy(q[i:], q[i+1:])
+			q[len(q)-1] = nil
+			q = q[:len(q)-1]
 			a.queued--
 			a.grant(t, at)
 			n++

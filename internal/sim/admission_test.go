@@ -236,3 +236,32 @@ func TestPerReleaseModeHasNoTicks(t *testing.T) {
 		t.Fatalf("ticks = %d, want 0 in per-release mode", a.Ticks())
 	}
 }
+
+// TestAdmissionDequeueAllocs pins the in-place dequeue: granting the next
+// ticket out of a 1000-deep queue allocates nothing (the grant shifts the
+// queue down instead of copying it into a fresh array) and keeps FIFO
+// order — Release panics unless tickets[next] is the running one.
+func TestAdmissionDequeueAllocs(t *testing.T) {
+	const depth = 1000
+	eng := &Engine{}
+	a := NewAdmission(eng, 1, 1, 0)
+	fn := func(Time) {}
+	tickets := make([]*Ticket, depth)
+	for i := range tickets {
+		tickets[i] = a.Submit(0, "k", 0, fn)
+	}
+	eng.Run() // fire the first grant, warming the event pool
+	next := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		a.Release(tickets[next], eng.Now())
+		next++
+		eng.Run()
+	})
+	if allocs > 0 {
+		t.Errorf("a grant out of a %d-deep queue allocates %.1f objects, want 0", depth, allocs)
+	}
+	if !tickets[next].running || a.Pending() != depth-1-next {
+		t.Errorf("after %d grants: ticket %d running=%v, pending %d, want true and %d",
+			next, next, tickets[next].running, a.Pending(), depth-1-next)
+	}
+}

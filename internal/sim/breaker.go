@@ -59,8 +59,8 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 // closes the circuit or re-opens it for another cooldown.
 //
 // Like every type in this package, Breaker is single-goroutine by
-// contract: on the replay path it is mutated only from coordinator-run
-// events, in deterministic (time, seq) order.
+// contract: on the replay path it is mutated only from engine events, in
+// deterministic (time, seq) order.
 type Breaker struct {
 	cfg BreakerConfig
 

@@ -13,19 +13,10 @@ type Event struct {
 	At Time
 	Fn func(now Time)
 
-	seq   int    // tie-break so events at the same instant run in schedule order
-	idx   int    // heap index
-	shard int    // target shard; cross-shard events use the negative sentinels
-	next  *Event // free-list link while pooled
+	seq  int    // tie-break so events at the same instant run in schedule order
+	idx  int    // heap index
+	next *Event // free-list link while pooled
 }
-
-// Shard placement sentinels: fenced cross-shard events wait for all
-// in-flight shard work before running; overlap events may run while shard
-// workers are still busy (see ShardedEngine).
-const (
-	crossFenced  = -1
-	crossOverlap = -2
-)
 
 // eventHeap orders events by time, then by scheduling order.
 type eventHeap []*Event
@@ -55,15 +46,6 @@ func (h *eventHeap) Pop() any {
 	return e
 }
 
-// eventBefore is the heap order as a standalone predicate, used by the
-// sharded engine to compare heads across heaps.
-func eventBefore(a, b *Event) bool {
-	if a.At != b.At {
-		return a.At < b.At
-	}
-	return a.seq < b.seq
-}
-
 // eventPool is a per-engine free list of Event structs. A replay schedules
 // one event per step on the hottest suite path; recycling fired events
 // makes the steady state allocation-free (each step's At reuses the struct
@@ -72,7 +54,7 @@ type eventPool struct {
 	free *Event
 }
 
-func (p *eventPool) get(at Time, fn func(now Time), seq, shard int) *Event {
+func (p *eventPool) get(at Time, fn func(now Time), seq int) *Event {
 	ev := p.free
 	if ev == nil {
 		ev = &Event{}
@@ -83,7 +65,6 @@ func (p *eventPool) get(at Time, fn func(now Time), seq, shard int) *Event {
 	ev.Fn = fn
 	ev.seq = seq
 	ev.idx = -1
-	ev.shard = shard
 	ev.next = nil
 	return ev
 }
@@ -92,31 +73,6 @@ func (p *eventPool) put(ev *Event) {
 	ev.Fn = nil // drop the closure so pooled events pin no captures
 	ev.next = p.free
 	p.free = ev
-}
-
-// Scheduler is the event-scheduling surface shared by the serial Engine
-// and the ShardedEngine: everything Admission (and other virtual-time
-// resources built on events) needs.
-type Scheduler interface {
-	Now() Time
-	At(at Time, fn func(now Time)) *Event
-	After(delay Duration, fn func(now Time)) *Event
-	Cancel(ev *Event)
-}
-
-// Backbone is the full engine surface a replay runs on: scheduling plus
-// shard placement and the run loop. The serial Engine implements it with
-// every event on one implicit shard; ShardedEngine fans shard events out
-// to workers. A program written against Backbone (shard events never call
-// engine methods, cross events carry the synchronization) runs bit-
-// identically on both.
-type Backbone interface {
-	Scheduler
-	AtShard(shard int, at Time, fn func(now Time)) *Event
-	AtOverlap(at Time, fn func(now Time)) *Event
-	Run() Time
-	RunUntil(deadline Time) Time
-	Shards() int
 }
 
 // Engine is a minimal discrete-event simulation loop. The zero value is
@@ -129,8 +85,6 @@ type Engine struct {
 	pool   eventPool
 }
 
-var _ Backbone = (*Engine)(nil)
-
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
@@ -140,39 +94,14 @@ func (e *Engine) Processed() int64 { return e.ran }
 // Pending reports how many events are waiting in the queue.
 func (e *Engine) Pending() int { return len(e.queue) }
 
-// Shards reports the number of event shards; the serial engine has one.
-func (e *Engine) Shards() int { return 1 }
-
 // At schedules fn to run at absolute time at. Scheduling in the past (before
 // Now) panics: it would silently reorder causality. The returned handle is
 // valid until the event fires or is cancelled (see Event).
 func (e *Engine) At(at Time, fn func(now Time)) *Event {
-	return e.schedule(at, fn, crossFenced)
-}
-
-// AtShard schedules a shard-affine event. On the serial engine shard
-// placement is advisory — every event runs on the one loop — so this is
-// At with the tag recorded; it exists so shard-aware programs run
-// unchanged on either engine.
-func (e *Engine) AtShard(shard int, at Time, fn func(now Time)) *Event {
-	if shard < 0 {
-		panic("sim: negative shard")
-	}
-	return e.schedule(at, fn, shard)
-}
-
-// AtOverlap schedules a cross-shard event that the sharded engine may run
-// while shard workers are still busy. On the serial engine it is exactly
-// At.
-func (e *Engine) AtOverlap(at Time, fn func(now Time)) *Event {
-	return e.schedule(at, fn, crossOverlap)
-}
-
-func (e *Engine) schedule(at Time, fn func(now Time), shard int) *Event {
 	if at < e.now {
 		panic("sim: event scheduled in the past")
 	}
-	ev := e.pool.get(at, fn, e.nextID, shard)
+	ev := e.pool.get(at, fn, e.nextID)
 	e.nextID++
 	heap.Push(&e.queue, ev)
 	return ev

@@ -130,3 +130,42 @@ func TestEngineMonotonicClockProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestEngineEventPoolAllocs pins the Event free list: once a replay-shaped
+// loop reaches steady state (each fired event's struct feeds the next At),
+// scheduling allocates nothing.
+func TestEngineEventPoolAllocs(t *testing.T) {
+	e := &Engine{}
+	var hops int
+	var hop func(now Time)
+	hop = func(now Time) {
+		hops++
+		if hops%1000 != 0 {
+			e.At(now+1, hop)
+		}
+	}
+	e.At(0, hop)
+	e.Run() // warm the pool and the heap capacity
+	allocs := testing.AllocsPerRun(100, func() {
+		e.At(e.Now()+1, hop)
+		e.Run()
+	})
+	if allocs > 0 {
+		t.Errorf("steady-state schedule+run allocates %.1f objects per run, want 0", allocs)
+	}
+}
+
+// TestEngineResetDropsEvents pins Engine.Reset.
+func TestEngineResetDropsEvents(t *testing.T) {
+	e := &Engine{}
+	e.At(5, func(Time) { t.Error("dropped event ran") })
+	e.Reset()
+	if e.Now() != 0 || e.Pending() != 0 || e.Processed() != 0 {
+		t.Fatalf("reset left now=%v pending=%d ran=%d", e.Now(), e.Pending(), e.Processed())
+	}
+	ran := false
+	e.At(2, func(Time) { ran = true })
+	if final := e.Run(); final != 2 || !ran {
+		t.Errorf("post-reset run: final=%v ran=%v", final, ran)
+	}
+}
