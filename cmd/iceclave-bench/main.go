@@ -1,29 +1,18 @@
 // iceclave-bench regenerates every table and figure of the paper's
 // evaluation section and prints them as text tables (optionally CSV).
 //
-// The harness can run serially (the seed behaviour), spread each
-// experiment's independent replays across worker goroutines, and memoize
-// results by (workload, mode, config); all modes emit byte-identical
-// tables. With -bench-json it times serial, memoized, and parallel
-// passes, drives a multi-tenant offload storm through the internal/sched
-// worker pool, and writes a machine-readable BENCH_results.json so the
-// performance trajectory is trackable across PRs.
-//
-// With -micro it runs just the Trivium cipher, FTL lock-sharding,
-// die-pipelining, admission-queueing, write-storm, mee-traffic,
-// trace-replay, fault-replay, fleet-replay, and replay-setup
-// microbenchmarks (methodology in docs/BENCHMARKS.md).
+// Each experiment's independent replays run across GOMAXPROCS worker
+// goroutines and results are memoized by (workload, mode, config); the
+// tables are byte-identical to a serial, unmemoized run
+// (experiments.TestParallelMatchesSerial). Performance is measured by the
+// repository benchmark in bench/ (see docs/BENCHMARKS.md).
 //
 // Usage:
 //
-//	iceclave-bench [-experiment "Figure 11"] [-csv] [-rows N]
-//	               [-parallel] [-workers N] [-micro]
-//	               [-bench-json BENCH_results.json] [-tenants N] [-jobs N]
+//	iceclave-bench [-experiment "Figure 11"] [-csv] [-rows N] [-cpuprofile out.pprof]
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -33,28 +22,18 @@ import (
 	"strings"
 	"time"
 
-	"iceclave"
 	"iceclave/internal/core"
 	"iceclave/internal/experiments"
-	"iceclave/internal/host"
-	"iceclave/internal/query"
-	"iceclave/internal/sched"
 	"iceclave/internal/stats"
 	"iceclave/internal/workload"
 )
 
 func main() {
 	var (
-		exp      = flag.String("experiment", "", "regenerate only the named experiment (e.g. \"Figure 11\", \"Table 6\")")
-		csv      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		rows     = flag.Int("rows", 0, "override lineitem row count (dataset scale)")
-		parallel = flag.Bool("parallel", false, "spread experiment replays across -workers goroutines")
-		workers  = flag.Int("workers", runtime.NumCPU(), "replay parallelism for -parallel and -bench-json")
-		benchOut = flag.String("bench-json", "", "time the serial, memoized, and parallel suite plus a scheduler offload storm and the microbenchmarks; write results to this file")
-		tenants  = flag.Int("tenants", 32, "concurrent tenants in the -bench-json scheduler storm")
-		jobs     = flag.Int("jobs", 4, "offloads per tenant in the -bench-json scheduler storm")
-		micro    = flag.Bool("micro", false, "run only the Trivium/FTL/die-pipelining/queueing/mee-traffic microbenchmarks and print a summary")
-		cpuprof  = flag.String("cpuprofile", "", "profile the serial evaluation suite: write a CPU pprof of one full All() pass to this file (make profile)")
+		exp     = flag.String("experiment", "", "regenerate only the named experiment (e.g. \"Figure 11\", \"Table 6\")")
+		csv     = flag.Bool("csv", false, "emit CSV instead of aligned tables")
+		rows    = flag.Int("rows", 0, "override lineitem row count (dataset scale)")
+		cpuprof = flag.String("cpuprofile", "", "profile the serial evaluation suite: write a CPU pprof of one full All() pass to this file (make profile)")
 	)
 	flag.Parse()
 
@@ -65,28 +44,11 @@ func main() {
 		return
 	}
 
-	if *micro {
-		if _, err := runMicro(); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
 	sc := workload.SmallScale()
 	if *rows > 0 {
 		sc.LineitemRows = *rows
 	}
-	suite := experiments.NewSuite(sc, core.DefaultConfig())
-	if *parallel {
-		suite.SetWorkers(*workers)
-	}
-
-	if *benchOut != "" {
-		if err := runBench(sc, *workers, *tenants, *jobs, *benchOut); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
+	suite := experiments.NewSuite(sc, core.DefaultConfig()).SetWorkers(runtime.GOMAXPROCS(0))
 
 	var tables []*stats.Table
 	if *exp == "" {
@@ -144,256 +106,6 @@ func runProfile(rows int, outPath string) error {
 	}
 	fmt.Printf("profiled %.1fs of serial suite into %s\n", time.Since(start).Seconds(), outPath)
 	return nil
-}
-
-// benchResults is the machine-readable performance record. Methodology —
-// what each section measures, and why suite/FTL speedups sit near 1x on a
-// 1-CPU container — is documented in docs/BENCHMARKS.md.
-type benchResults struct {
-	GeneratedAt  string `json:"generated_at"`
-	Methodology  string `json:"methodology"`
-	NumCPU       int    `json:"num_cpu"`
-	GOMAXPROCS   int    `json:"gomaxprocs"`
-	Workers      int    `json:"workers"`
-	LineitemRows int    `json:"lineitem_rows"`
-
-	// Suite timings: one All() pass over warmed traces, ns/op. Serial and
-	// parallel passes run with result memoization off so they time the
-	// replay engine itself; the memoized pass is the same serial pass with
-	// the (workload, mode, config) result cache on, and its delta is the
-	// suite-time saving from figures sharing configurations.
-	SuiteSerialNs   int64   `json:"suite_serial_ns_per_op"`
-	SuiteMemoizedNs int64   `json:"suite_memoized_ns_per_op"`
-	MemoSpeedup     float64 `json:"memo_speedup"`
-	MemoHits        int64   `json:"memo_hits"`
-	MemoMisses      int64   `json:"memo_misses"`
-	SuiteParallelNs int64   `json:"suite_parallel_ns_per_op"`
-	SuiteSpeedup    float64 `json:"suite_speedup"`
-	OutputIdentical bool    `json:"output_identical"`
-
-	Scheduler    schedResults        `json:"scheduler"`
-	Trivium      triviumResults      `json:"trivium_keystream"`
-	FTL          ftlResults          `json:"ftl_sharded_locks"`
-	DieOverlap   dieOverlapResults   `json:"die_pipelining"`
-	Queueing     queueingResults     `json:"admission_queueing"`
-	WriteStorm   writeStormResults   `json:"write_storm"`
-	MEETraffic   meeTrafficResults   `json:"mee_traffic"`
-	TraceReplay  traceReplayResults  `json:"trace_replay"`
-	ResourcePool resourcePoolResults `json:"resource_pool"`
-	FaultReplay  faultReplayResults  `json:"fault_replay"`
-	FleetReplay  fleetReplayResults  `json:"fleet_replay"`
-}
-
-// resourcePoolResults records the replay-stack pool's activity across the
-// timed suite passes — how many replay setups recycled a pooled stack
-// versus allocated fresh, and the total wall time spent in setup — plus
-// the controlled fresh-vs-pooled setup microbenchmark from -micro.
-type resourcePoolResults struct {
-	SuiteHits    int64              `json:"suite_hits"`
-	SuiteMisses  int64              `json:"suite_misses"`
-	SuiteSetupNs int64              `json:"suite_setup_ns"`
-	ReplaySetup  replaySetupResults `json:"replay_setup"`
-}
-
-// schedResults records the multi-tenant offload storm.
-type schedResults struct {
-	Tenants        int     `json:"tenants"`
-	JobsPerTenant  int     `json:"jobs_per_tenant"`
-	Workers        int     `json:"workers"`
-	Completed      int64   `json:"completed"`
-	Failed         int64   `json:"failed"`
-	WallNs         int64   `json:"wall_ns"`
-	OffloadsPerSec float64 `json:"offloads_per_sec"`
-}
-
-// runBench times the serial (memo off), memoized, and parallel evaluation
-// harness over the same warmed traces, verifies all three emit identical
-// output, storms the scheduler with concurrent tenants, and writes the
-// JSON record.
-func runBench(sc workload.Scale, workers, tenants, jobs int, outPath string) error {
-	suite := experiments.NewSuite(sc, core.DefaultConfig()).SetMemoize(false)
-	// Warm the trace cache so the timed passes measure replay work only.
-	fmt.Fprintf(os.Stderr, "recording workload traces...\n")
-	for _, name := range workload.Names() {
-		if _, err := suite.Trace(name); err != nil {
-			return err
-		}
-	}
-	core.ResetPool() // count only the timed passes' pool traffic
-	fmt.Fprintf(os.Stderr, "timing serial suite (memoization off)...\n")
-	t0 := time.Now()
-	serialTables, err := suite.All()
-	if err != nil {
-		return err
-	}
-	serialNs := time.Since(t0).Nanoseconds()
-
-	fmt.Fprintf(os.Stderr, "timing memoized suite...\n")
-	suite.SetMemoize(true)
-	suite.ResetMemo()
-	t1 := time.Now()
-	memoTables, err := suite.All()
-	if err != nil {
-		return err
-	}
-	memoNs := time.Since(t1).Nanoseconds()
-	memoHits, memoMisses := suite.MemoStats()
-	suite.SetMemoize(false)
-
-	fmt.Fprintf(os.Stderr, "timing parallel suite (%d workers, memoization off)...\n", workers)
-	t2 := time.Now()
-	parallelTables, err := suite.AllParallel(workers)
-	if err != nil {
-		return err
-	}
-	parallelNs := time.Since(t2).Nanoseconds()
-
-	identical := len(serialTables) == len(parallelTables) && len(serialTables) == len(memoTables)
-	if identical {
-		for i := range serialTables {
-			if serialTables[i].String() != parallelTables[i].String() ||
-				serialTables[i].String() != memoTables[i].String() {
-				identical = false
-				break
-			}
-		}
-	}
-
-	// Snapshot the suite passes' pool traffic before the microbenchmarks
-	// reset the counters for their own controlled legs.
-	suitePool := core.PoolSnapshot()
-
-	st, err := runSchedulerStorm(tenants, jobs, workers)
-	if err != nil {
-		return err
-	}
-
-	mr, err := runMicro()
-	if err != nil {
-		return err
-	}
-
-	res := benchResults{
-		GeneratedAt:     time.Now().UTC().Format(time.RFC3339),
-		Methodology:     "docs/BENCHMARKS.md",
-		NumCPU:          runtime.NumCPU(),
-		GOMAXPROCS:      runtime.GOMAXPROCS(0),
-		Workers:         workers,
-		LineitemRows:    sc.LineitemRows,
-		SuiteSerialNs:   serialNs,
-		SuiteMemoizedNs: memoNs,
-		MemoSpeedup:     float64(serialNs) / float64(memoNs),
-		MemoHits:        memoHits,
-		MemoMisses:      memoMisses,
-		SuiteParallelNs: parallelNs,
-		SuiteSpeedup:    float64(serialNs) / float64(parallelNs),
-		OutputIdentical: identical,
-		Scheduler:       st,
-		Trivium:         mr.Trivium,
-		FTL:             mr.FTL,
-		DieOverlap:      mr.DieOverlap,
-		Queueing:        mr.Queueing,
-		WriteStorm:      mr.WriteStorm,
-		MEETraffic:      mr.MEETraffic,
-		TraceReplay:     mr.TraceReplay,
-		FaultReplay:     mr.FaultReplay,
-		FleetReplay:     mr.FleetReplay,
-		ResourcePool: resourcePoolResults{
-			SuiteHits:    suitePool.Hits,
-			SuiteMisses:  suitePool.Misses,
-			SuiteSetupNs: suitePool.SetupNs,
-			ReplaySetup:  mr.ReplaySetup,
-		},
-	}
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(outPath, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("suite: serial %.2fs, memoized %.2fs (%.2fx, %d hits), parallel %.2fs (%.2fx, %d workers, identical=%v)\n",
-		float64(serialNs)/1e9, float64(memoNs)/1e9, res.MemoSpeedup, memoHits,
-		float64(parallelNs)/1e9, res.SuiteSpeedup, workers, identical)
-	fmt.Printf("scheduler: %d tenants x %d offloads in %.2fs (%.1f offloads/s, %d failed)\n",
-		tenants, jobs, float64(st.WallNs)/1e9, st.OffloadsPerSec, st.Failed)
-	fmt.Printf("resource pool: %d hits, %d misses across timed passes (%.2fs in setup)\n",
-		suitePool.Hits, suitePool.Misses, float64(suitePool.SetupNs)/1e9)
-	fmt.Printf("wrote %s\n", outPath)
-	return nil
-}
-
-// runSchedulerStorm drives tenants*jobs full offload round trips (create
-// TEE, encrypted reads, intermediate write, terminate) through the
-// admission-controlled worker pool.
-func runSchedulerStorm(tenants, jobs, workers int) (schedResults, error) {
-	ssd, err := iceclave.Open(iceclave.Options{Channels: 2, BlocksPerPlane: 8})
-	if err != nil {
-		return schedResults{}, err
-	}
-	const pagesPerTenant = 4
-	lpas := make([][]uint32, tenants)
-	for ti := 0; ti < tenants; ti++ {
-		for p := 0; p < pagesPerTenant; p++ {
-			lpa := uint32(ti*pagesPerTenant + p)
-			if err := ssd.HostWrite(lpa, []byte{byte(ti), byte(p)}); err != nil {
-				return schedResults{}, err
-			}
-			lpas[ti] = append(lpas[ti], lpa)
-		}
-	}
-	interBase := uint32(tenants * pagesPerTenant)
-	if workers > 12 {
-		workers = 12 // stay under the 15 live TEE IDs with headroom
-	}
-	s := sched.New(sched.Config{
-		Workers:           workers,
-		TenantMaxInFlight: 1,
-		MaxInFlight:       12,
-		QueueDepth:        tenants * jobs,
-	})
-	start := time.Now()
-	for ti := 0; ti < tenants; ti++ {
-		ti := ti
-		for j := 0; j < jobs; j++ {
-			j := j
-			_, err := s.Submit(fmt.Sprintf("tenant-%02d", ti), sched.Priority(j%3), func(context.Context) error {
-				own := lpas[ti]
-				inter := interBase + uint32(ti)
-				_, err := ssd.Execute(host.Offload{
-					TaskID: uint32(ti*jobs + j),
-					Binary: make([]byte, 32<<10),
-					LPAs:   append(append([]uint32(nil), own...), inter),
-				}, func(st query.Store, m *query.Meter) ([]byte, error) {
-					for _, lpa := range own {
-						if _, err := st.ReadPage(lpa); err != nil {
-							return nil, err
-						}
-					}
-					return []byte{byte(ti), byte(j)}, st.WritePage(inter, []byte{byte(ti), byte(j)})
-				})
-				return err
-			})
-			if err != nil {
-				return schedResults{}, err
-			}
-		}
-	}
-	if err := s.Close(context.Background()); err != nil {
-		return schedResults{}, err
-	}
-	wall := time.Since(start)
-	st := s.Stats()
-	return schedResults{
-		Tenants:        tenants,
-		JobsPerTenant:  jobs,
-		Workers:        workers,
-		Completed:      st.Completed,
-		Failed:         st.Failed,
-		WallNs:         wall.Nanoseconds(),
-		OffloadsPerSec: float64(st.Completed) / wall.Seconds(),
-	}, nil
 }
 
 func one(s *experiments.Suite, name string) (*stats.Table, error) {

@@ -6,7 +6,7 @@
 // Concurrency contract: a composed system model and every replay over it
 // are confined to one goroutine; Config and Result are plain values.
 // Parallelism comes from running independent replays, each over its own
-// system instance (see experiments.Suite.AllParallel), never from sharing
+// system instance (see experiments.Suite.SetWorkers), never from sharing
 // one replay across goroutines.
 package core
 

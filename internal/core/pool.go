@@ -206,9 +206,9 @@ func (p *resourcePool) addSetup(ns int64) {
 }
 
 // SetPooling enables or disables replay-stack recycling. Pooling is on by
-// default; the differential tests and the fresh legs of benchmarks turn
-// it off to force every setup down the allocation path. Disabling does
-// not drop already-pooled stacks — call ResetPool for that.
+// default; the differential tests turn it off to force every setup down
+// the allocation path. Disabling does not drop already-pooled stacks —
+// call ResetPool for that.
 func SetPooling(on bool) {
 	pool.mu.Lock()
 	pool.enabled = on

@@ -203,7 +203,7 @@ func (s *Suite) FaultTiming() (*stats.Table, error) {
 	}
 	last := sum.Scenarios[len(sum.Scenarios)-1]
 	t.AddNote("plans are seeded and fault decisions keyed on per-channel op ordinals: every scenario "+
-		"replays bit-identically across reruns, pooled stacks, and engine worker counts; the fault-free "+
+		"replays bit-identically across reruns and pooled stacks; the fault-free "+
 		"row is byte-identical to a run with no plan at all (goodput %.0f pages/s baseline)",
 		base.GoodputPerSec)
 	t.AddNote("goodput counts only pages of tenants that completed, over the run's makespan — a failed " +

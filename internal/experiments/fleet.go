@@ -31,9 +31,9 @@ const (
 const fleetDiesPerChannel = 16
 
 // FleetRecoveryFloor is the committed tenant floor of the device-death
-// scenario: bench-compare fails if a death sweep ever recovers fewer
-// tenants than this. The scenario is deterministic, so the floor is an
-// exact regression tripwire, not a statistical bound.
+// scenario: TestFleetReplaySummaryShape fails if a death sweep ever
+// recovers fewer tenants than this. The scenario is deterministic, so the
+// floor is an exact regression tripwire, not a statistical bound.
 const FleetRecoveryFloor = 3
 
 // fleetScenario is one point of the fleet sweep. A nil fleet plan is
@@ -249,7 +249,7 @@ func (s *Suite) FleetTiming() (*stats.Table, error) {
 	death := sum.Scenarios[len(sum.Scenarios)-1]
 	t.AddNote("tenants are placed by weighted rendezvous hashing (salt %d): a pure hash, so placement "+
 		"— like the health scores and failover targets derived from replay counters — is identical on "+
-		"every rerun, across pooled stacks and engine worker counts", FleetPlacementSeed)
+		"every rerun and across pooled stacks", FleetPlacementSeed)
 	t.AddNote("the death scenario kills every die of the busiest device at 500µs of virtual time; the "+
 		"health monitor scores it below the %.1f floor from its own telemetry (aborted reads, breaker "+
 		"trips, failed offloads) and fails it over to the healthiest survivor, recovering %d/%d stranded "+

@@ -7,29 +7,40 @@ import (
 	"iceclave/internal/workload"
 )
 
-// TestParallelMatchesSerial renders every table through the serial path
-// and the 4-worker parallel path and requires byte-identical output —
-// the acceptance bar for parallelizing the harness.
+// TestParallelMatchesSerial renders every table four ways — serial and
+// memoized, serial with memoization off, across 4 workers with memoization
+// off, and across 4 workers memoized (iceclave-bench's mode, where workers
+// share memo entries) — and requires byte-identical output: the acceptance
+// bar for both the result cache and the parallel harness.
 func TestParallelMatchesSerial(t *testing.T) {
 	sc := workload.TinyScale()
 	serial, err := NewSuite(sc, core.DefaultConfig()).All()
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := NewSuite(sc, core.DefaultConfig()).AllParallel(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial) != len(parallel) {
-		t.Fatalf("table counts differ: %d vs %d", len(serial), len(parallel))
-	}
-	for i := range serial {
-		if serial[i].ID != parallel[i].ID {
-			t.Fatalf("table %d: ID %q vs %q", i, serial[i].ID, parallel[i].ID)
+	for _, leg := range []struct {
+		name string
+		s    *Suite
+	}{
+		{"unmemoized", NewSuite(sc, core.DefaultConfig()).SetMemoize(false)},
+		{"parallel unmemoized", NewSuite(sc, core.DefaultConfig()).SetMemoize(false).SetWorkers(4)},
+		{"parallel memoized", NewSuite(sc, core.DefaultConfig()).SetWorkers(4)},
+	} {
+		got, err := leg.s.All()
+		if err != nil {
+			t.Fatalf("%s: %v", leg.name, err)
 		}
-		if got, want := parallel[i].String(), serial[i].String(); got != want {
-			t.Errorf("%s: parallel output diverges from serial:\n--- serial ---\n%s\n--- parallel ---\n%s",
-				serial[i].ID, want, got)
+		if len(got) != len(serial) {
+			t.Fatalf("%s: table counts differ: %d vs %d", leg.name, len(got), len(serial))
+		}
+		for i := range serial {
+			if got[i].ID != serial[i].ID {
+				t.Fatalf("%s: table %d: ID %q vs %q", leg.name, i, got[i].ID, serial[i].ID)
+			}
+			if g, want := got[i].String(), serial[i].String(); g != want {
+				t.Errorf("%s: %s diverges from the serial memoized output:\n--- serial ---\n%s\n--- %s ---\n%s",
+					leg.name, serial[i].ID, want, leg.name, g)
+			}
 		}
 	}
 }

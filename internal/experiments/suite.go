@@ -408,12 +408,3 @@ func (s *Suite) All() ([]*stats.Table, error) {
 	}
 	return out, nil
 }
-
-// AllParallel is All with the suite temporarily set to n workers — the
-// parallel evaluation harness entry point used by cmd/iceclave-bench.
-func (s *Suite) AllParallel(n int) ([]*stats.Table, error) {
-	old := s.workers
-	s.SetWorkers(n)
-	defer s.SetWorkers(old)
-	return s.All()
-}

@@ -397,9 +397,6 @@ func (f *FTL) LogicalBytes() int64 { return f.logicalPages * int64(f.geo.PageSiz
 // Device returns the underlying flash device.
 func (f *FTL) Device() *flash.Device { return f.dev }
 
-// Stripes returns the number of mapping-table lock stripes.
-func (f *FTL) Stripes() int { return len(f.stripes) }
-
 // Stats returns a consistent-enough snapshot of the activity counters
 // (each counter is atomic; the snapshot is not a cross-counter barrier).
 func (f *FTL) Stats() Stats {

@@ -17,11 +17,11 @@ import (
 // another channel.
 func TestStripeChannelAlignment(t *testing.T) {
 	f := newTestFTL(t)
-	if f.Stripes()%f.geo.Channels != 0 {
-		t.Fatalf("stripes (%d) not a multiple of channels (%d)", f.Stripes(), f.geo.Channels)
+	if len(f.stripes)%f.geo.Channels != 0 {
+		t.Fatalf("stripes (%d) not a multiple of channels (%d)", len(f.stripes), f.geo.Channels)
 	}
 	for l := LPA(0); int64(l) < f.logicalPages; l++ {
-		stripeIdx := int(uint32(l) % uint32(f.Stripes()))
+		stripeIdx := int(uint32(l) % uint32(len(f.stripes)))
 		if stripeIdx%f.geo.Channels != f.pickChannel(l) {
 			t.Fatalf("LPA %d: stripe %d not aligned with channel %d", l, stripeIdx, f.pickChannel(l))
 		}
@@ -234,5 +234,85 @@ func TestConcurrentMixedStripeOwnership(t *testing.T) {
 	close(errCh)
 	for err := range errCh {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkChannelScaling measures what the channel shards and mapping
+// stripes buy on the functional path: four channel-pinned tenants, each
+// running 2000 rounds of out-of-place write plus read over its own four
+// LPAs (enough rewrites to keep GC busy), all on one goroutine ("serial")
+// and with one goroutine per channel ("per-channel"). One op is one full
+// pass of all four tenants; serial ns/op over per-channel ns/op is the
+// parallel speedup the shards exist for. On 2 vCPUs it reads about 1x.
+func BenchmarkChannelScaling(b *testing.B) {
+	const roundsPerTenant = 2000
+	geo := flash.Geometry{
+		Channels:        4,
+		ChipsPerChannel: 1,
+		DiesPerChip:     1,
+		PlanesPerDie:    1,
+		BlocksPerPlane:  16,
+		PagesPerBlock:   16,
+		PageSize:        4096,
+	}
+	payload := make([]byte, 64)
+	tenant := func(f *FTL, ch int) error {
+		var lpas [4]LPA
+		for i := range lpas {
+			lpas[i] = LPA(ch + i*geo.Channels) // pinned to channel ch
+		}
+		at := sim.Time(0)
+		for r := 0; r < roundsPerTenant; r++ {
+			l := lpas[r%len(lpas)]
+			done, err := f.Write(at, l, payload)
+			if err != nil {
+				return err
+			}
+			if _, _, err := f.Read(done, l); err != nil {
+				return err
+			}
+			at = done
+		}
+		return nil
+	}
+	legs := []struct {
+		name string
+		pass func(f *FTL) error
+	}{
+		{"serial", func(f *FTL) error {
+			for ch := 0; ch < geo.Channels; ch++ {
+				if err := tenant(f, ch); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"per-channel", func(f *FTL) error {
+			var wg sync.WaitGroup
+			errs := make([]error, geo.Channels)
+			for ch := range errs {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					errs[ch] = tenant(f, ch)
+				}()
+			}
+			wg.Wait()
+			return errors.Join(errs...)
+		}},
+	}
+	for _, leg := range legs {
+		b.Run(leg.name, func(b *testing.B) {
+			dev, err := flash.NewDevice(geo, flash.DefaultTiming())
+			if err != nil {
+				b.Fatal(err)
+			}
+			f := New(dev, Config{})
+			for b.Loop() {
+				if err := leg.pass(f); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

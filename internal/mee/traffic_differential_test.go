@@ -1,7 +1,9 @@
 package mee
 
 import (
+	"math"
 	"testing"
+	"time"
 
 	"iceclave/internal/sim"
 )
@@ -108,6 +110,46 @@ func TestSeqMatchesPerLine(t *testing.T) {
 			p.seq(0, 32, false, PageSize+LineSize)
 			p.check(t, "page stride")
 		})
+	}
+}
+
+// TestScanSpeedupFloor is the batched model's reason to exist, checked as
+// a plain test: the streaming input-page scan every replayed read step
+// feeds the model must run at least 3x faster through AccessSeq than
+// through the per-line TrafficReference loop, and land on the same stats.
+// Each rep scans the same pages on a fresh pair; each leg keeps its
+// fastest of five interleaved reps. On 2 vCPUs it read 15-31x over 40
+// runs, and 19-31x under the race detector.
+func TestScanSpeedupFloor(t *testing.T) {
+	const (
+		floor = 3
+		pages = 1024
+		reps  = 5
+	)
+	cfg := TrafficConfig{Mode: ModeHybrid, SampleWeight: 1}
+	refBest, seqBest := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for r := 0; r < reps; r++ {
+		ref, model := NewTrafficReference(cfg), NewTrafficModel(cfg)
+		start := time.Now()
+		for p := uint64(0); p < pages; p++ {
+			for l := uint64(0); l < LinesPerPage; l++ {
+				ref.Access(p*PageSize+l*LineSize, false)
+			}
+		}
+		refBest = min(refBest, time.Since(start))
+		start = time.Now()
+		for p := uint64(0); p < pages; p++ {
+			model.AccessSeq(p*PageSize, LinesPerPage, false, LineSize)
+		}
+		seqBest = min(seqBest, time.Since(start))
+		if ref.Stats() != model.Stats() || ref.CounterCacheStats() != model.CounterCacheStats() {
+			t.Fatalf("scan stats diverge:\nbatched: %+v\noracle:  %+v", model.Stats(), ref.Stats())
+		}
+	}
+	ratio := float64(refBest) / float64(seqBest)
+	t.Logf("%d-page scan: per-line %v, AccessSeq %v (%.1fx)", pages, refBest, seqBest, ratio)
+	if ratio < floor {
+		t.Fatalf("AccessSeq scan is %.1fx the per-line reference, floor %dx", ratio, floor)
 	}
 }
 

@@ -25,6 +25,7 @@
 package tee
 
 import (
+	"crypto/subtle"
 	"errors"
 	"fmt"
 	"sync"
@@ -723,9 +724,7 @@ func (r *Runtime) ReadPage(t *TEE, lpa ftl.LPA) ([]byte, error) {
 	ksp := r.pageScratch.Get().(*[]byte)
 	ks := *ksp
 	r.cipher.KeystreamPage(uint32(ppa), ks)
-	for i := range page {
-		ks[i] ^= page[i] // flash-side encryption onto the bus, in place
-	}
+	subtle.XORBytes(ks, ks, page) // flash-side encryption onto the bus, in place
 	r.mu.Lock()
 	if done > r.now {
 		r.now = done

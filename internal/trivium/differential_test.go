@@ -2,12 +2,14 @@ package trivium
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // corpusArgs parses one committed go-fuzz corpus file (the "go test fuzz v1"
@@ -154,29 +156,43 @@ func TestDifferentialRandom(t *testing.T) {
 	}
 }
 
-// BenchmarkKeystream measures one encrypted-page unit of cipher work — key
-// schedule (1152-round warm-up) plus a 4 KB keystream — for the bit-serial
-// reference and the word-parallel production engine. The word/bitserial
-// ratio is the speedup `make bench-compare` checks (must be >= 10x; it is
-// ~2 orders of magnitude in practice).
-func BenchmarkKeystream(b *testing.B) {
+// TestCipherSpeedupFloor is the word-parallel Cipher's reason to exist,
+// checked as a plain test: one encrypted-page unit of work (key schedule
+// plus a 4 KB keystream) must cost at most a tenth of the bit-serial
+// Reference's. Each leg runs a fixed page count and keeps the fastest of
+// five interleaved reps, so a GC pause or a busy neighbour cannot sink the
+// ratio. On 2 vCPUs it read 74-143x over 40 runs, and 79-109x under the
+// race detector.
+func TestCipherSpeedupFloor(t *testing.T) {
+	const (
+		floor     = 10
+		refPages  = 4
+		wordPages = 256
+		reps      = 5
+	)
 	key := []byte("0123456789")
-	iv := []byte("abcdefghij")
+	iv := make([]byte, IVSize)
 	page := make([]byte, 4096)
-	b.Run("bitserial", func(b *testing.B) {
-		b.SetBytes(int64(len(page)))
-		var c Reference
-		for i := 0; i < b.N; i++ {
+	perPage := func(c interface {
+		Reset(key, iv []byte)
+		Keystream(dst []byte)
+	}, pages int) time.Duration {
+		start := time.Now()
+		for i := 0; i < pages; i++ {
+			iv[9] = byte(i)
 			c.Reset(key, iv)
 			c.Keystream(page)
 		}
-	})
-	b.Run("word64", func(b *testing.B) {
-		b.SetBytes(int64(len(page)))
-		var c Cipher
-		for i := 0; i < b.N; i++ {
-			c.Reset(key, iv)
-			c.Keystream(page)
-		}
-	})
+		return time.Since(start) / time.Duration(pages)
+	}
+	refBest, wordBest := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for r := 0; r < reps; r++ {
+		refBest = min(refBest, perPage(&Reference{}, refPages))
+		wordBest = min(wordBest, perPage(&Cipher{}, wordPages))
+	}
+	ratio := float64(refBest) / float64(wordBest)
+	t.Logf("per 4 KB page: bit-serial %v, word64 %v (%.1fx)", refBest, wordBest, ratio)
+	if ratio < floor {
+		t.Fatalf("word64 Cipher is %.1fx the bit-serial Reference, floor %dx", ratio, floor)
+	}
 }

@@ -58,7 +58,7 @@ const warmupBatches = warmupRounds / 64
 //
 // Cipher is keystream-identical to Reference (differentially tested over
 // the committed fuzz corpus plus random inputs) and ~2 orders of magnitude
-// faster; see BenchmarkKeystream.
+// faster; see TestCipherSpeedupFloor.
 //
 // Cipher is not safe for concurrent use; each simulated engine owns one.
 type Cipher struct {

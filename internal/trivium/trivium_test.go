@@ -104,5 +104,5 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
-// BenchmarkKeystream (bit-serial vs word-parallel) lives in
-// differential_test.go next to the equivalence tests.
+// TestCipherSpeedupFloor (bit-serial vs word-parallel per 4 KB page) lives
+// in differential_test.go next to the equivalence tests.
