@@ -43,16 +43,21 @@ bench-test:
 # cipher and MEE speedup floors) under the race detector.
 ci: fmt-check build vet bench-test race
 
-# profile grounds hot-path claims in data: it records a CPU pprof of one
-# full serial suite pass (traces pre-warmed, so the profile is replay
-# work, ~7-30 s depending on scale) and prints the top-10 functions.
+# profile grounds hot-path claims in data. It records a CPU pprof of one
+# full suite pass (traces pre-warmed, so the profile is replay work,
+# ~5-30 s depending on scale) and one of the functional offload path
+# (BenchmarkOffloadRoundTrip on Open's default device: TEE create, reads,
+# an adopting write, teardown), and prints each one's top-10 functions.
 # Scratch outputs live under the gitignored out/ so profiling never
 # litters the repo root. Inspect interactively with:
-# go tool pprof out/cpu.pprof
+# go tool pprof out/cpu.pprof (or out/offload.pprof)
 profile:
 	@mkdir -p out
 	$(GO) run ./cmd/iceclave-bench -cpuprofile out/cpu.pprof
 	$(GO) tool pprof -top -nodecount=10 out/cpu.pprof
+	$(GO) test -run '^$$' -bench 'OffloadRoundTrip/default-geometry' -benchtime 3s \
+		-cpuprofile out/offload.pprof -o out/iceclave.test .
+	$(GO) tool pprof -top -nodecount=10 out/offload.pprof
 
 # bench-compare compares the working tree with commit BASE on this host,
 # through the repository benchmark (bench/README.md). It unpacks BASE

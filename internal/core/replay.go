@@ -302,6 +302,11 @@ type tenant struct {
 	retry     func() error
 	attempts  int
 	readErr   error
+
+	// next is the tenant's step event, bound once by start: every later
+	// step and retry reschedules this one callback, so the per-step path
+	// allocates no closure.
+	next func(sim.Time)
 }
 
 func newTenant(res *resources, tr *workload.Trace, mode Mode, offset uint32, seed uint64) *tenant {
@@ -453,11 +458,10 @@ func (t *tenant) computePhase(st workload.Step) {
 // step funnels its memory accesses through here. The input scan goes
 // through AccessSeq (one call per step, run-collapsed metadata probes) and
 // the heap batch through AccessMany over a reused scratch slice, so the
-// per-step path allocates nothing and pays no per-access call or closure
-// overhead. The access stream — addresses, order, and RNG draws — is
-// exactly the per-line loop's, so every reported statistic is unchanged
-// (mee's differential suite pins the model side; the suite's
-// output_identical check pins end to end).
+// per-step path allocates nothing (TestReplayStepAllocationFree) and pays
+// no per-access call or closure overhead. The access stream — addresses,
+// order, and RNG draws — is exactly the per-line loop's, so every
+// reported statistic is unchanged (mee's differential suite pins it).
 func (t *tenant) chargeMEE(st workload.Step) {
 	sampling := int64(t.res.cfg.MEESampling)
 	if sampling < 1 {
@@ -687,10 +691,12 @@ func Run(tr *workload.Trace, mode Mode, cfg Config) (Result, error) {
 	return results[0], nil
 }
 
-// begin opens the tenant's replay at its admission time: the clock starts
-// at the grant (so queueing delay is part of Total), the wait is measured
-// from the tenant's arrival, and the Table 5 creation cost is charged.
-func (t *tenant) begin(granted sim.Time) {
+// start opens the tenant's replay at its admission time and replays the
+// first step: the clock starts at the grant (so queueing delay is part of
+// Total), the wait is measured from the tenant's arrival, and the Table 5
+// creation cost is charged. It also binds the step event every later step
+// reuses.
+func (t *tenant) start(granted sim.Time, eng *sim.Engine, adm *sched.VirtualAdmission, ticket *sim.Ticket) {
 	t.now = granted
 	t.granted = granted
 	t.result.QueueDelay = sim.Duration(granted - t.arrival)
@@ -698,6 +704,8 @@ func (t *tenant) begin(granted sim.Time) {
 		t.now += t.res.cfg.Costs.Create
 		t.result.TEETime += t.res.cfg.Costs.Create
 	}
+	t.next = func(sim.Time) { t.stepEvent(eng, adm, ticket) }
+	t.stepEvent(eng, adm, ticket)
 }
 
 // isFaultErr reports whether err belongs to the recoverable fault
@@ -762,7 +770,7 @@ func (t *tenant) faultEvent(eng *sim.Engine, adm *sched.VirtualAdmission, ticket
 		}
 	}
 	t.now = next
-	eng.At(t.now, func(sim.Time) { t.stepEvent(eng, adm, ticket) })
+	eng.At(t.now, t.next)
 }
 
 // fail abandons the offload: the tenant stops consuming its trace,
@@ -812,7 +820,7 @@ func (t *tenant) stepEvent(eng *sim.Engine, adm *sched.VirtualAdmission, ticket 
 			t.breaker.Success(t.now)
 		}
 	}
-	eng.At(t.now, func(sim.Time) { t.stepEvent(eng, adm, ticket) })
+	eng.At(t.now, t.next)
 }
 
 // RunMulti replays several traces concurrently against shared hardware —
@@ -929,8 +937,7 @@ func RunMultiStats(traces []*workload.Trace, mode Mode, cfg Config) ([]Result, R
 			tn := tenants[i]
 			var ticket *sim.Ticket
 			ticket = adm.Submit(0, tr.Name, sched.PriorityNormal, func(granted sim.Time) {
-				tn.begin(granted)
-				tn.stepEvent(eng, adm, ticket)
+				tn.start(granted, eng, adm, ticket)
 			})
 		}
 	} else {
@@ -949,8 +956,7 @@ func RunMultiStats(traces []*workload.Trace, mode Mode, cfg Config) ([]Result, R
 				Tenant:   key,
 				Priority: sched.Priority(sub.Band),
 				Fn: func(granted sim.Time) {
-					tn.begin(granted)
-					tn.stepEvent(eng, adm, tickets[i])
+					tn.start(granted, eng, adm, tickets[i])
 				},
 			}
 		}

@@ -164,3 +164,27 @@ func TestDRAMCapacityEffect(t *testing.T) {
 		t.Fatalf("less DRAM was faster: %v < %v", small.Total, big.Total)
 	}
 }
+
+// TestReplayStepAllocationFree pins the per-step path at zero
+// allocations: a warm single-tenant IceClave TPC-B replay (3,000
+// transactions, about 12,000 steps) must allocate a bounded handful of
+// objects per run — setup, the tenant, its bound step event, the Result —
+// never one per step.
+func TestReplayStepAllocationFree(t *testing.T) {
+	t.Cleanup(func() { SetPooling(true); ResetPool() })
+	tr := recordTrace(t, "TPC-B")
+	SetPooling(true)
+	ResetPool()
+	cfg := DefaultConfig()
+	if _, err := Run(tr, ModeIceClave, cfg); err != nil { // warm the pool
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := Run(tr, ModeIceClave, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs >= 128 {
+		t.Fatalf("warm TPC-B replay of %d steps allocates %.0f objects per run, want < 128", len(tr.Steps), allocs)
+	}
+}

@@ -312,6 +312,11 @@ var (
 	victimHook   func(ch int, victim flash.BlockID, ok bool)
 )
 
+// releaseHook, when non-nil, observes each mapping entry ReleaseIDs
+// visits, under its stripe. Tests count the visits to pin that teardown
+// touches the released list only, never the whole table.
+var releaseHook func(l LPA)
+
 // invalidLPA marks an unused reverse-map slot.
 const invalidLPA = ^LPA(0)
 
@@ -477,7 +482,10 @@ func (f *FTL) IDOf(l LPA) (TEEID, error) {
 }
 
 // SetID sets the ID bits of l's entry. This is the FTL half of the
-// runtime's SetIDBits API and runs in the secure world.
+// runtime's SetIDBits API and runs in the secure world. The FTL keeps no
+// per-ID record of its stamps: the runtime lists every page it stamps
+// and hands that list to ReleaseIDs at teardown, so any other caller of
+// SetID or ClaimID must release its own stamps the same way.
 func (f *FTL) SetID(l LPA, id TEEID) error {
 	if err := f.checkLPA(l); err != nil {
 		return err
@@ -515,19 +523,25 @@ func (f *FTL) ClaimID(l LPA, id TEEID) error {
 	return nil
 }
 
-// ClearIDs resets the ID bits of every entry owned by id back to IDNone,
-// used when a TEE terminates and its ID is recycled. It sweeps the table
-// one stripe at a time, so concurrent tenants on other stripes keep
-// translating while a neighbour is torn down.
-func (f *FTL) ClearIDs(id TEEID) {
-	stripeCount := LPA(len(f.stripes))
-	for s := range f.stripes {
-		st := &f.stripes[s]
+// ReleaseIDs resets the ID bits of the listed entries back to IDNone,
+// used when a TEE terminates and its ID is recycled: lpas is the list of
+// pages the TEE was stamped on. An entry is cleared only if it still
+// carries id, so an entry another TEE has since re-stamped keeps its
+// owner; out-of-range LPAs are skipped. It takes each entry's stripe in
+// turn, so the cost is O(len(lpas)), never O(logical pages), and
+// concurrent tenants keep translating while a neighbour is torn down.
+func (f *FTL) ReleaseIDs(id TEEID, lpas []LPA) {
+	for _, l := range lpas {
+		if int64(l) >= f.logicalPages {
+			continue
+		}
+		st := f.stripeOf(l)
 		st.mu.Lock()
-		for l := LPA(s); int64(l) < f.logicalPages; l += stripeCount {
-			if f.table[l].id == id {
-				f.table[l].id = IDNone
-			}
+		if releaseHook != nil {
+			releaseHook(l)
+		}
+		if f.table[l].id == id {
+			f.table[l].id = IDNone
 		}
 		st.mu.Unlock()
 	}

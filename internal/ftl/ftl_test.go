@@ -103,16 +103,63 @@ func TestIDSurvivesRewriteAndGC(t *testing.T) {
 	}
 }
 
-func TestClearIDs(t *testing.T) {
+// TestReleaseIDs pins ReleaseIDs' contract: a listed entry still carrying
+// the released ID clears, mapped or not; a listed entry another TEE has
+// since re-stamped keeps its new owner; an unlisted entry keeps the ID
+// even though it carries it; out-of-range LPAs are skipped.
+func TestReleaseIDs(t *testing.T) {
 	f := newTestFTL(t)
-	f.Write(0, 1, nil)
-	f.Write(0, 3, nil)
-	f.SetID(1, 5)
-	f.SetID(3, 5)
-	f.ClearIDs(5)
-	for _, l := range []LPA{1, 3} {
-		if id, _ := f.IDOf(l); id != IDNone {
-			t.Fatalf("LPA %d ID = %d after clear", l, id)
+	for _, l := range []LPA{1, 3, 5, 7} {
+		if _, err := f.Write(0, l, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, l := range []LPA{1, 3, 5, 7, 9} { // LPA 9 is never written
+		if err := f.SetID(l, 5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.SetID(3, 6); err != nil { // re-stamped to another TEE
+		t.Fatal(err)
+	}
+	f.ReleaseIDs(5, []LPA{1, 3, 9, LPA(f.LogicalPages()), 7, 7})
+	want := map[LPA]TEEID{1: IDNone, 3: 6, 5: 5, 7: IDNone, 9: IDNone}
+	for l, id := range want {
+		if got, _ := f.IDOf(l); got != id {
+			t.Fatalf("LPA %d ID = %d after release, want %d", l, got, id)
+		}
+	}
+	if _, err := f.Translate(7); err != nil {
+		t.Fatalf("LPA 7 after the release: %v", err)
+	}
+}
+
+// TestReleaseIDsVisitsOnlyListed pins teardown's cost: ReleaseIDs visits
+// exactly the listed entries, on a small device and on one with 16x the
+// logical pages alike, never the whole table. It counts visits through
+// the hook instead of timing them.
+func TestReleaseIDsVisitsOnlyListed(t *testing.T) {
+	visits := 0
+	releaseHook = func(LPA) { visits++ }
+	defer func() { releaseHook = nil }()
+	big := smallGeometry()
+	big.BlocksPerPlane *= 16
+	for _, geo := range []flash.Geometry{smallGeometry(), big} {
+		dev, err := flash.NewDevice(geo, flash.DefaultTiming())
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := New(dev, Config{})
+		lpas := []LPA{0, 2, 5, 11, 40}
+		for _, l := range lpas {
+			if err := f.ClaimID(l, 4); err != nil {
+				t.Fatal(err)
+			}
+		}
+		visits = 0
+		f.ReleaseIDs(4, lpas)
+		if visits != len(lpas) {
+			t.Fatalf("%d logical pages: ReleaseIDs visited %d entries for %d listed", f.LogicalPages(), visits, len(lpas))
 		}
 	}
 }

@@ -188,9 +188,11 @@ func TestClaimIDAtomicity(t *testing.T) {
 	}
 }
 
-// TestConcurrentMixedStripeOwnership races ID sweeps (ClearIDs walks every
-// stripe) against per-stripe reads and cross-tenant denied writes, the
-// pattern TEE teardown produces while other tenants keep running.
+// TestConcurrentMixedStripeOwnership races ID releases (each over a list
+// spanning every stripe) against per-stripe reads and cross-tenant denied
+// writes, the pattern TEE teardown produces while other tenants keep
+// running. Writes to released entries adopt them again, so ownership
+// churns under the readers.
 func TestConcurrentMixedStripeOwnership(t *testing.T) {
 	f := newTestFTL(t)
 	var lpas []LPA
@@ -204,8 +206,8 @@ func TestConcurrentMixedStripeOwnership(t *testing.T) {
 		lpas = append(lpas, l)
 	}
 	// Denied access is a legal race outcome (ownership churns under
-	// ClearIDs); anything else — unmapped entries, device-full — means the
-	// shard/stripe split tore state and must fail the test.
+	// ReleaseIDs); anything else — unmapped entries, device-full — means
+	// the shard/stripe split tore state and must fail the test.
 	okErr := func(err error) bool { return err == nil || errors.Is(err, ErrAccessDenied) }
 	var wg sync.WaitGroup
 	errCh := make(chan error, 8)
@@ -225,7 +227,7 @@ func TestConcurrentMixedStripeOwnership(t *testing.T) {
 					return
 				}
 				if r%10 == 0 {
-					f.ClearIDs(id)
+					f.ReleaseIDs(id, lpas)
 				}
 			}
 		}(w)
@@ -234,6 +236,11 @@ func TestConcurrentMixedStripeOwnership(t *testing.T) {
 	close(errCh)
 	for err := range errCh {
 		t.Fatal(err)
+	}
+	for _, l := range lpas {
+		if _, err := f.Translate(l); err != nil {
+			t.Fatalf("LPA %d after the race: %v", l, err)
+		}
 	}
 }
 

@@ -128,8 +128,11 @@ type TEE struct {
 	heapSize uint64
 	binary   int // bytes
 
-	mu       sync.Mutex
-	state    State
+	mu    sync.Mutex
+	state State
+	// lpas is the owned-LPA list: the creation LPAs plus the pages
+	// WritePage adopted. Every entry the runtime stamps with eid is on
+	// it, and reclaim releases the ID bits on exactly these.
 	lpas     []ftl.LPA
 	result   []byte
 	abortMsg string
@@ -210,6 +213,13 @@ func (t *TEE) addLPA(l ftl.LPA) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.lpas = append(t.lpas, l)
+}
+
+// ownedLPAs returns the owned-LPA list under t.mu.
+func (t *TEE) ownedLPAs() []ftl.LPA {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.lpas
 }
 
 // beginOp admits a data-path operation while the TEE is running.
@@ -538,20 +548,22 @@ func (r *Runtime) CreateTEE(cfg Config) (*TEE, error) {
 		r.now = r.monitor.SwitchTo(r.now, trustzone.Normal)
 		return nil, fmt.Errorf("%w: no room for %d-byte heap", ErrTooLarge, cfg.HeapBytes)
 	}
-	// SetIDBits: stamp ownership into the mapping table. ClearIDs on the
-	// rollback path only touches entries carrying the new id, so a
-	// rejected creation leaves the prior owners' bits intact.
+	// SetIDBits: stamp ownership into the mapping table. The rollback
+	// releases only the prefix this call stamped, cfg.LPAs[:i]. Under
+	// ClaimID that prefix held no other owner, so a rejected creation
+	// leaves every prior owner's bits intact; under AllowSharedLPAs a
+	// re-stamped prefix entry reverts to IDNone, not to its prior owner.
 	stamp := r.ftl.ClaimID
 	if r.sharedLPAs {
 		stamp = r.ftl.SetID
 	}
-	for _, l := range cfg.LPAs {
+	for i, l := range cfg.LPAs {
 		err := stamp(l, id)
 		if errors.Is(err, ftl.ErrOwned) {
 			err = fmt.Errorf("%w: LPA %d", ErrLPAOwned, l)
 		}
 		if err != nil {
-			r.ftl.ClearIDs(id)
+			r.ftl.ReleaseIDs(id, cfg.LPAs[:i])
 			r.inUse[id] = false
 			r.releaseHeap(heapBase, cfg.HeapBytes)
 			r.now = r.monitor.SwitchTo(r.now, trustzone.Normal)
@@ -613,11 +625,14 @@ func (r *Runtime) throwOut(t *TEE, reason string) {
 }
 
 // reclaim recycles a dead TEE's resources — ID bits, the 4-bit identity,
-// the heap region — and charges the Table 5 deletion cost. Caller holds
-// r.mu and has won the readyToReclaim/opDone claim.
+// the heap region — and charges the Table 5 deletion cost. The ID bits
+// are released on the TEE's owned-LPA list, the only entries the runtime
+// stamped with its ID, so teardown costs O(pages owned), not O(logical
+// pages). Caller holds r.mu and has won the readyToReclaim/opDone claim,
+// so no operation can append to the list any more.
 func (r *Runtime) reclaim(t *TEE) {
 	r.now = r.monitor.SwitchTo(r.now, trustzone.Secure)
-	r.ftl.ClearIDs(t.eid)
+	r.ftl.ReleaseIDs(t.eid, t.ownedLPAs())
 	r.inUse[t.eid] = false
 	delete(r.tees, t.eid)
 	r.releaseHeap(t.heapBase, t.heapSize)
