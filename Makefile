@@ -3,7 +3,7 @@ GO ?= go
 # BASE is the commit bench-compare measures the working tree against.
 BASE ?= HEAD
 
-.PHONY: all build fmt-check vet test race bench-test ci bench-compare fuzz profile
+.PHONY: all build fmt-check vet test race bench-test ci bench-compare fuzz profile reach
 
 all: build
 
@@ -101,3 +101,23 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzTrafficBatchedVsReference -fuzztime=20s ./internal/mee
 	$(GO) test -run='^$$' -fuzz=FuzzTraceReader -fuzztime=20s ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzFaultPlan -fuzztime=20s ./internal/fault
+
+# reach lists the functions no binary links, i.e. the code only tests
+# reach (an internal package cannot be imported from outside the module).
+# It builds every main package and the benchmark harness with inlining
+# off into out/reach/, dumps each binary's symbols with go tool nm, and
+# has tools/reach.go (standard library only, //go:build ignore) diff them
+# against a go/ast listing of the module's non-test functions outside
+# bench/. It prints file:line, name and size of each unreached function,
+# then the totals. Not part of ci: it is a survey, not a gate.
+REACH_MAINS := cmd/iceclave-bench cmd/iceclave-sim cmd/iceclave-trace \
+	examples/attacks examples/multitenant examples/quickstart examples/tpch
+reach:
+	@mkdir -p out/reach
+	@for p in $(REACH_MAINS); do \
+		$(GO) build -gcflags=all=-l -o out/reach/$$(basename $$p) ./$$p && \
+		$(GO) tool nm out/reach/$$(basename $$p) > out/reach/$$(basename $$p).nm || exit 1; \
+	done
+	@cd bench && GOFLAGS= GOPROXY=off GOTOOLCHAIN=local $(GO) build -gcflags=all=-l -o ../out/reach/bench .
+	@$(GO) tool nm out/reach/bench > out/reach/bench.nm
+	@$(GO) run tools/reach.go $(foreach p,$(REACH_MAINS),$(p)=out/reach/$(notdir $(p)).nm) bench=out/reach/bench.nm

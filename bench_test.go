@@ -1,7 +1,7 @@
-// Package iceclave's root benchmarks regenerate every evaluation artifact
-// of the paper: one benchmark per table and figure (DESIGN.md maps each to
-// its experiment), plus micro-benchmarks for the security primitives.
-// Run with: go test -bench=. -benchmem
+// Package iceclave's root benchmarks regenerate the paper's evaluation
+// artifacts, one benchmark per table and figure (each calls the Suite
+// method that `iceclave-bench -experiment` names), plus the functional
+// offload round trip. Run with: go test -bench=. -benchmem
 package iceclave_test
 
 import (
@@ -152,18 +152,4 @@ func BenchmarkOffloadRoundTrip(b *testing.B) {
 			}
 		})
 	}
-}
-
-// Ablation benchmarks for the design choices DESIGN.md calls out.
-
-func BenchmarkAblationCounterCache(b *testing.B) {
-	runExperiment(b, func(s *experiments.Suite) (*stats.Table, error) { return s.AblationCounterCache() })
-}
-
-func BenchmarkAblationCMTSize(b *testing.B) {
-	runExperiment(b, func(s *experiments.Suite) (*stats.Table, error) { return s.AblationCMTSize() })
-}
-
-func BenchmarkAblationPrefetchWindow(b *testing.B) {
-	runExperiment(b, func(s *experiments.Suite) (*stats.Table, error) { return s.AblationPrefetch() })
 }

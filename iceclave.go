@@ -45,7 +45,9 @@ type Options struct {
 	Channels int
 	// BlocksPerPlane scales the device capacity (default 64).
 	BlocksPerPlane int
-	// DRAMBytes is the controller DRAM (default 4 GB).
+	// DRAMBytes is the controller DRAM (default 4 GB). Open rejects a
+	// size that leaves no TEE heap above the 128 MB of secure and
+	// protected regions.
 	DRAMBytes uint64
 	// FaultPlan, when non-nil and non-zero, injects the plan's
 	// deterministic faults into the device (flash read/program faults, die
@@ -60,9 +62,8 @@ type Options struct {
 	// typed *fault.PlanError instead of silently never firing.
 	FaultPlan *fault.Plan
 	// CipherKey is the 10-byte Trivium key sealing this device's
-	// encrypted bus (a fixed default is used when nil). A fleet gives
-	// every device a distinct key, so migrating a tenant re-encrypts its
-	// pages under the destination's fresh keys.
+	// encrypted bus (a fixed default is used when nil). Open rejects a key
+	// of any other length.
 	CipherKey []byte
 }
 
@@ -94,7 +95,7 @@ func Open(opts Options) (*SSD, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := ftl.New(dev, ftl.Config{})
+	f := ftl.New(dev)
 	rt, err := tee.NewRuntime(f, tee.Options{DRAMBytes: opts.DRAMBytes, CipherKey: opts.CipherKey})
 	if err != nil {
 		return nil, err
@@ -127,9 +128,8 @@ func (s *SSD) FTL() *ftl.FTL { return s.ftl }
 func (s *SSD) Geometry() flash.Geometry { return s.dev.Geometry() }
 
 // FlashStats snapshots the raw device activity counters, including the
-// injected fault aborts — one half of the health telemetry a fleet
-// monitor scores devices from (FTL().Stats() is the other: retirement
-// and retry work).
+// injected fault aborts (FTL().Stats() holds the retirement and retry
+// work).
 func (s *SSD) FlashStats() flash.Stats { return s.dev.Snapshot() }
 
 // HostWrite stores data at a logical page through the host I/O path (no

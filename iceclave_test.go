@@ -111,3 +111,27 @@ func TestOffloadValidation(t *testing.T) {
 		t.Fatal("invalid offload accepted")
 	}
 }
+
+// TestOpenRejectsShortCipherKey pins that a bus key of the wrong length
+// fails Open with an error instead of panicking in the cipher engine.
+func TestOpenRejectsShortCipherKey(t *testing.T) {
+	ssd, err := Open(Options{Channels: 2, BlocksPerPlane: 8, CipherKey: []byte("short")})
+	if err == nil || ssd != nil {
+		t.Fatalf("Open with a 5-byte key = (%v, %v), want an error", ssd, err)
+	}
+}
+
+// TestOpenRejectsDRAMWithoutHeap pins that a DRAM no larger than the
+// secure and protected regions (128 MB) fails Open instead of
+// underflowing the TEE-heap size.
+func TestOpenRejectsDRAMWithoutHeap(t *testing.T) {
+	for _, dram := range []uint64{64 << 20, 128 << 20} {
+		ssd, err := Open(Options{Channels: 2, BlocksPerPlane: 8, DRAMBytes: dram})
+		if err == nil {
+			t.Fatalf("Open with %d MB of DRAM succeeded, heap free %d bytes", dram>>20, ssd.Runtime().HeapFree())
+		}
+	}
+	if _, err := Open(Options{Channels: 2, BlocksPerPlane: 8, DRAMBytes: 129 << 20}); err != nil {
+		t.Fatalf("Open with 129 MB of DRAM: %v", err)
+	}
+}

@@ -69,7 +69,7 @@ func TestAccessRunMatchesRepeatedAccess(t *testing.T) {
 		addr := (rng.next() % 64) * lineSize
 		write := rng.next()%2 == 0
 		n := int64(rng.next()%7) - 1 // includes n <= 0 no-ops
-		switch rng.next() % 4 {
+		switch rng.next() % 3 {
 		case 0: // bulk vs repeated
 			h1, e1, v1 := run.AccessRun(addr, write, n)
 			var h2 bool
@@ -98,43 +98,12 @@ func TestAccessRunMatchesRepeatedAccess(t *testing.T) {
 			if d1 != d2 {
 				t.Fatalf("op %d: Invalidate diverges: %v vs %v", op, d1, d2)
 			}
-		case 3: // batch vs loop
-			addrs := []uint64{addr, addr + lineSize, addr}
-			got := run.AccessBatch(addrs, write, nil)
-			for i, a := range addrs {
-				h, e, v := ref.Access(a, write)
-				if got[i] != (AccessResult{Hit: h, Ev: e, Evicted: v}) {
-					t.Fatalf("op %d: batch result %d diverges", op, i)
-				}
-			}
 		}
 		if op%500 == 0 {
 			sameState(t, run, ref, "periodic")
 		}
 	}
 	sameState(t, run, ref, "final")
-}
-
-// TestAccessBatchReusesOut pins the allocation contract: a batch into a
-// pre-sized slice appends without growing it.
-func TestAccessBatchReusesOut(t *testing.T) {
-	c := NewFromGeometry("batch", 64, 4, 4)
-	addrs := make([]uint64, 32)
-	for i := range addrs {
-		addrs[i] = uint64(i) * 64
-	}
-	out := make([]AccessResult, 0, len(addrs))
-	out = c.AccessBatch(addrs, false, out)
-	if len(out) != len(addrs) {
-		t.Fatalf("batch returned %d results, want %d", len(out), len(addrs))
-	}
-	if cap(out) != len(addrs) {
-		t.Fatalf("batch grew the result slice: cap %d, want %d", cap(out), len(addrs))
-	}
-	// All 32 distinct lines on a 16-line cache: 16 misses were evictions.
-	if st := c.Stats(); st.Misses != 32 || st.Evictions != 16 {
-		t.Fatalf("batch stats = %+v", st)
-	}
 }
 
 // TestMRUShortcutSurvivesInvalidate pins that the MRU fast path cannot

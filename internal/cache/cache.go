@@ -1,7 +1,8 @@
 // Package cache implements a set-associative cache simulator with LRU
 // replacement and write-back dirty tracking. It is the building block for
-// the MEE counter cache, the cached FTL mapping table (CMT), and the CPU
-// last-level-cache model in the IceClave simulator.
+// the MEE counter cache (mee.TrafficModel and its reference), the cached
+// FTL mapping table (ftl.MappingCache), and the controller DRAM page cache
+// (dram.PageCache) in the IceClave simulator.
 //
 // The cache tracks presence and recency of fixed-size lines identified by a
 // 64-bit address; it stores no payload. Callers model data movement by
@@ -9,8 +10,8 @@
 //
 // Concurrency contract: Cache carries mutable recency state and is not
 // safe for concurrent use. Every instance is serialized by its owner —
-// the MEE counter cache under mee.Engine's lock, the CMT under
-// tee.Runtime's lock, and the CPU LLC inside a single-goroutine replay.
+// the counter cache and the page cache by the one replay that owns them,
+// and the CMT by tee.Runtime's lock or, in a replay, by that replay.
 package cache
 
 import "fmt"
@@ -99,12 +100,6 @@ func (c *Cache) Name() string { return c.name }
 // LineSize returns the line size in bytes.
 func (c *Cache) LineSize() uint64 { return c.lineSize }
 
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
-
-// Ways returns the associativity.
-func (c *Cache) Ways() int { return c.ways }
-
 // Capacity returns the total capacity in bytes.
 func (c *Cache) Capacity() uint64 { return c.lineSize * uint64(c.sets) * uint64(c.ways) }
 
@@ -142,14 +137,14 @@ func (c *Cache) Contains(addr uint64) bool {
 // Access touches addr's line. write marks the line dirty. It returns
 // whether the access hit and, on a miss that displaced a valid line, the
 // eviction (otherwise ev.Addr is 0 and ev.Dirty is false with hit==false
-// meaning a cold fill). Access is the single-probe form of the batched
-// core below; AccessRun and AccessBatch amortize its per-call work.
+// meaning a cold fill). Access is the single-probe form of the core below;
+// AccessRun amortizes its per-call work over a run of one line.
 func (c *Cache) Access(addr uint64, write bool) (hit bool, ev Eviction, evicted bool) {
 	hit, ev, evicted, _ = c.access(addr, write)
 	return hit, ev, evicted
 }
 
-// access is the probe core shared by Access, AccessRun, and AccessBatch.
+// access is the probe core shared by Access and AccessRun.
 // It additionally returns the touched line's index into c.lines so bulk
 // callers can extend the touch without re-resolving the set.
 func (c *Cache) access(addr uint64, write bool) (hit bool, ev Eviction, evicted bool, idx int) {
@@ -226,26 +221,6 @@ func (c *Cache) AccessRun(addr uint64, write bool, n int64) (hit bool, ev Evicti
 	return hit, ev, evicted
 }
 
-// AccessResult is one Access outcome within an AccessBatch.
-type AccessResult struct {
-	Hit     bool
-	Ev      Eviction
-	Evicted bool
-}
-
-// AccessBatch probes every address in addrs in order, appending one result
-// per address to out (pass a reused slice to keep the batch
-// allocation-free) and returning the extended slice. It is exactly
-// equivalent to len(addrs) Access calls; the win is one call boundary and
-// a warm probe core across the whole batch.
-func (c *Cache) AccessBatch(addrs []uint64, write bool, out []AccessResult) []AccessResult {
-	for _, addr := range addrs {
-		hit, ev, evicted, _ := c.access(addr, write)
-		out = append(out, AccessResult{Hit: hit, Ev: ev, Evicted: evicted})
-	}
-	return out
-}
-
 // Invalidate drops addr's line if resident, returning whether it was dirty.
 // Invalidation does not count as an eviction in the statistics.
 func (c *Cache) Invalidate(addr uint64) (wasDirty bool) {
@@ -257,19 +232,6 @@ func (c *Cache) Invalidate(addr uint64) (wasDirty bool) {
 	wasDirty = set[way].dirty
 	set[way] = line{}
 	return wasDirty
-}
-
-// Flush invalidates every line and returns the dirty lines that would be
-// written back, in unspecified order.
-func (c *Cache) Flush() []Eviction {
-	var dirty []Eviction
-	for i := range c.lines {
-		if c.lines[i].gen == c.gen && c.lines[i].dirty {
-			dirty = append(dirty, Eviction{Addr: c.lines[i].tag * c.lineSize, Dirty: true})
-		}
-		c.lines[i] = line{}
-	}
-	return dirty
 }
 
 // Resident returns the number of valid lines.

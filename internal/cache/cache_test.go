@@ -79,20 +79,6 @@ func TestInvalidate(t *testing.T) {
 	}
 }
 
-func TestFlush(t *testing.T) {
-	c := New("t", 256, 64, 2)
-	c.Access(0, true)
-	c.Access(64, false)
-	c.Access(128, true)
-	dirty := c.Flush()
-	if len(dirty) != 2 {
-		t.Fatalf("flush returned %d dirty lines, want 2", len(dirty))
-	}
-	if c.Resident() != 0 {
-		t.Fatal("lines resident after flush")
-	}
-}
-
 func TestAlign(t *testing.T) {
 	c := New("t", 128, 64, 1)
 	if got := c.Align(130); got != 128 {

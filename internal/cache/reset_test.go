@@ -16,7 +16,6 @@ func TestResetEquivalentToFresh(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		a.Access(churn.next()%footprint, i%3 == 0)
 	}
-	a.Flush()
 	for i := 0; i < 5000; i++ {
 		addr := churn.next() % footprint
 		if i%7 == 0 {

@@ -57,7 +57,7 @@ func (m Mode) String() string {
 func (m Mode) InStorage() bool { return m == ModeISC || m == ModeIceClave }
 
 // Config is the full simulator configuration: Table 3 defaults plus the
-// calibration constants documented in DESIGN.md.
+// calibration constants documented on each field.
 type Config struct {
 	// Channels is the flash channel count (Figure 12/13 sweep).
 	Channels int

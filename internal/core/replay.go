@@ -145,7 +145,7 @@ func buildResources(cfg Config, key poolKey) (*resources, error) {
 		if err != nil {
 			return nil, err
 		}
-		df = devFTL{dev, ftl.New(dev, ftl.Config{})}
+		df = devFTL{dev, ftl.New(dev)}
 	}
 	pcBytes := pageCacheBytes(cfg, ps)
 	pc := pool.acquirePage(cacheKey{pcBytes, ps})

@@ -1,201 +1,14 @@
-// Package dram models the SSD controller's DRAM: DDR3-style bank/row
-// timing (standing in for USIMM in the paper's stack), bus bandwidth, and a
-// page-granular data cache that captures how much of the working set fits
-// in controller memory (the quantity Figure 16 sweeps).
+// Package dram models the SSD controller's DRAM as a page-granular data
+// cache that captures how much of an in-storage program's working set
+// fits in controller memory (the quantity Figure 16 sweeps). A replay
+// serves a resident page without a flash read; memory-line traffic is
+// charged by the MEE and CPU models, not here.
 //
-// Concurrency contract: DRAM and PageCache carry bank/row and residency
-// state and are not safe for concurrent use; each replayed system owns
-// one of each. Timing and Geometry are plain configuration values.
+// Concurrency contract: a PageCache carries residency state and is not
+// safe for concurrent use; each replayed system owns one.
 package dram
 
-import (
-	"fmt"
-
-	"iceclave/internal/cache"
-	"iceclave/internal/sim"
-)
-
-// Timing holds the DDR parameters from Table 3 of the paper:
-// DDR3-1600 with tRCD-tRAS-tRP-tCL-tWR = 11-28-11-11-12 (cycles) on a
-// 1.25 ns clock.
-type Timing struct {
-	Clock sim.Duration // one memory-controller cycle
-	TRCD  int          // cycles, row activate to column command
-	TRAS  int          // cycles, row active time (unused by the simplified model, kept for fidelity)
-	TRP   int          // cycles, row precharge
-	TCL   int          // cycles, CAS latency
-	TWR   int          // cycles, write recovery
-	// BusBytesPerSec is the data-bus bandwidth (DDR3-1600 x64: 12.8 GB/s).
-	BusBytesPerSec float64
-}
-
-// DefaultTiming returns the Table 3 configuration.
-func DefaultTiming() Timing {
-	return Timing{
-		Clock:          sim.Nanosecond, // 1.25 ns rounded to the 1 ns tick (800 MHz)
-		TRCD:           11,
-		TRAS:           28,
-		TRP:            11,
-		TCL:            11,
-		TWR:            12,
-		BusBytesPerSec: 12.8e9,
-	}
-}
-
-// Geometry describes the DRAM organization: Table 3 uses one channel, two
-// ranks per channel, eight banks per rank.
-type Geometry struct {
-	Channels     int
-	RanksPerChan int
-	BanksPerRank int
-	RowBytes     uint64 // row-buffer size per bank
-	Capacity     uint64 // total bytes
-}
-
-// DefaultGeometry returns the Table 3 organization with 4 GB capacity and
-// 8 KB rows.
-func DefaultGeometry() Geometry {
-	return Geometry{Channels: 1, RanksPerChan: 2, BanksPerRank: 8, RowBytes: 8192, Capacity: 4 << 30}
-}
-
-// Banks returns the total number of banks.
-func (g Geometry) Banks() int { return g.Channels * g.RanksPerChan * g.BanksPerRank }
-
-// Stats aggregates DRAM activity.
-type Stats struct {
-	Reads        int64
-	Writes       int64
-	RowHits      int64
-	RowMisses    int64 // closed-row activations
-	RowConflicts int64
-	BytesMoved   int64
-}
-
-// Accesses returns the total access count.
-func (s Stats) Accesses() int64 { return s.Reads + s.Writes }
-
-// RowHitRate returns the fraction of accesses that hit an open row.
-func (s Stats) RowHitRate() float64 {
-	if s.Accesses() == 0 {
-		return 0
-	}
-	return float64(s.RowHits) / float64(s.Accesses())
-}
-
-// bankState tracks the open row of one bank.
-type bankState struct {
-	openRow uint64
-	hasOpen bool
-}
-
-// DRAM is the controller-memory model. Accesses are 64-byte (cache-line)
-// transactions; the model computes open-page row-buffer latency and
-// serializes transfers on the shared data bus.
-type DRAM struct {
-	timing Timing
-	geo    Geometry
-	banks  []bankState
-	bus    *sim.Server
-	stats  Stats
-}
-
-// LineSize is the DRAM transaction size in bytes.
-const LineSize = 64
-
-// New builds a DRAM model. It panics on non-positive geometry, which is a
-// configuration error.
-func New(geo Geometry, timing Timing) *DRAM {
-	if geo.Banks() <= 0 || geo.RowBytes == 0 || geo.Capacity == 0 {
-		panic(fmt.Sprintf("dram: invalid geometry %+v", geo))
-	}
-	return &DRAM{
-		timing: timing,
-		geo:    geo,
-		banks:  make([]bankState, geo.Banks()),
-		bus:    sim.NewServer("dram-bus", 1),
-	}
-}
-
-// Geometry returns the module organization.
-func (d *DRAM) Geometry() Geometry { return d.geo }
-
-// Timing returns the timing parameters.
-func (d *DRAM) Timing() Timing { return d.timing }
-
-// Stats returns a copy of the activity counters.
-func (d *DRAM) Stats() Stats { return d.stats }
-
-// cycles converts a cycle count to simulated time.
-func (d *DRAM) cycles(n int) sim.Duration { return sim.Duration(n) * d.timing.Clock }
-
-// locate splits a physical address into bank and row. Banks interleave at
-// line granularity so streaming accesses spread across banks.
-func (d *DRAM) locate(addr uint64) (bank int, row uint64) {
-	line := addr / LineSize
-	bank = int(line % uint64(d.geo.Banks()))
-	row = addr / d.geo.RowBytes
-	return bank, row
-}
-
-// Access performs one line-sized transaction arriving at time at and
-// returns its completion time. write selects the write-recovery timing.
-func (d *DRAM) Access(at sim.Time, addr uint64, write bool) (done sim.Time) {
-	bank, row := d.locate(addr)
-	var lat sim.Duration
-	bs := &d.banks[bank]
-	switch {
-	case bs.hasOpen && bs.openRow == row:
-		d.stats.RowHits++
-		lat = d.cycles(d.timing.TCL)
-	case !bs.hasOpen:
-		d.stats.RowMisses++
-		lat = d.cycles(d.timing.TRCD + d.timing.TCL)
-	default:
-		d.stats.RowConflicts++
-		lat = d.cycles(d.timing.TRP + d.timing.TRCD + d.timing.TCL)
-	}
-	if write {
-		lat += d.cycles(d.timing.TWR)
-		d.stats.Writes++
-	} else {
-		d.stats.Reads++
-	}
-	bs.openRow, bs.hasOpen = row, true
-	d.stats.BytesMoved += LineSize
-	burst := sim.DurationForBytes(LineSize, d.timing.BusBytesPerSec)
-	_, done = d.bus.Acquire(at+lat, burst)
-	return done
-}
-
-// AccessLatency returns the latency a single isolated access to addr would
-// see, without reserving the bus or mutating row state — used by analytic
-// cost models that batch millions of accesses.
-func (d *DRAM) AccessLatency(addr uint64, write bool) sim.Duration {
-	bank, row := d.locate(addr)
-	bs := d.banks[bank]
-	var lat sim.Duration
-	switch {
-	case bs.hasOpen && bs.openRow == row:
-		lat = d.cycles(d.timing.TCL)
-	case !bs.hasOpen:
-		lat = d.cycles(d.timing.TRCD + d.timing.TCL)
-	default:
-		lat = d.cycles(d.timing.TRP + d.timing.TRCD + d.timing.TCL)
-	}
-	if write {
-		lat += d.cycles(d.timing.TWR)
-	}
-	return lat + sim.DurationForBytes(LineSize, d.timing.BusBytesPerSec)
-}
-
-// Reset clears bank state, bus reservations, and statistics.
-func (d *DRAM) Reset() {
-	for i := range d.banks {
-		d.banks[i] = bankState{}
-	}
-	d.bus.Reset()
-	d.stats = Stats{}
-}
+import "iceclave/internal/cache"
 
 // PageCache models the portion of SSD DRAM that caches flash-page data for
 // in-storage programs. Its capacity is what shrinks when the experiment

@@ -1,131 +1,6 @@
 package dram
 
-import (
-	"testing"
-
-	"iceclave/internal/sim"
-)
-
-func newTestDRAM() *DRAM {
-	return New(DefaultGeometry(), DefaultTiming())
-}
-
-func TestRowHitFasterThanMiss(t *testing.T) {
-	d := newTestDRAM()
-	missDone := d.Access(0, 0, false)       // cold: row miss
-	hitDone := d.Access(missDone, 0, false) // same row: hit
-	missLat := missDone - 0
-	hitLat := hitDone - missDone
-	if hitLat >= missLat {
-		t.Fatalf("row hit latency %v not faster than miss %v", hitLat, missLat)
-	}
-	s := d.Stats()
-	if s.RowHits != 1 || s.RowMisses != 1 {
-		t.Fatalf("stats = %+v", s)
-	}
-}
-
-func TestRowConflictSlowest(t *testing.T) {
-	d := newTestDRAM()
-	g := d.Geometry()
-	// Two addresses in the same bank, different rows. Banks interleave at
-	// line granularity, so stride by banks*rows worth of lines.
-	rowStride := g.RowBytes * uint64(g.Banks())
-	d.Access(0, 0, false)
-	start := sim.Time(1 * sim.Millisecond)
-	confDone := d.Access(start, rowStride, false)
-	confLat := confDone - start
-	d2 := newTestDRAM()
-	missDone := d2.Access(0, 0, false)
-	if confLat <= missDone {
-		t.Fatalf("row conflict latency %v not slower than cold miss %v", confLat, missDone)
-	}
-	if d.Stats().RowConflicts != 1 {
-		t.Fatalf("conflicts = %d, want 1", d.Stats().RowConflicts)
-	}
-}
-
-func TestWriteSlowerThanRead(t *testing.T) {
-	d := newTestDRAM()
-	rd := d.AccessLatency(0, false)
-	wr := d.AccessLatency(0, true)
-	if wr <= rd {
-		t.Fatalf("write latency %v not slower than read %v", wr, rd)
-	}
-}
-
-func TestBusSerialization(t *testing.T) {
-	d := newTestDRAM()
-	// Saturate the bus with same-cycle accesses to different banks: bursts
-	// must serialize.
-	var last sim.Time
-	for i := 0; i < 64; i++ {
-		done := d.Access(0, uint64(i*LineSize), false)
-		if done < last {
-			t.Fatal("bus completions went backwards")
-		}
-		last = done
-	}
-	burst := sim.DurationForBytes(LineSize, d.Timing().BusBytesPerSec)
-	if minTotal := sim.Duration(64) * burst; last < minTotal {
-		t.Fatalf("64 bursts finished in %v, faster than bus allows (%v)", last, minTotal)
-	}
-}
-
-func TestAccessLatencyDoesNotMutate(t *testing.T) {
-	d := newTestDRAM()
-	d.Access(0, 0, false) // open row 0
-	before := d.Stats()
-	d.AccessLatency(1<<20, false)
-	if d.Stats() != before {
-		t.Fatal("AccessLatency mutated stats")
-	}
-	// Row 0 must still be open: a real access to it should be a hit.
-	d.Access(0, 0, false)
-	if d.Stats().RowHits != 1 {
-		t.Fatal("AccessLatency disturbed row state")
-	}
-}
-
-func TestReset(t *testing.T) {
-	d := newTestDRAM()
-	d.Access(0, 0, true)
-	d.Reset()
-	if d.Stats().Accesses() != 0 {
-		t.Fatal("stats survived reset")
-	}
-	d.Access(0, 0, false)
-	if d.Stats().RowMisses != 1 {
-		t.Fatal("row state survived reset")
-	}
-}
-
-func TestStatsAccounting(t *testing.T) {
-	d := newTestDRAM()
-	d.Access(0, 0, false)
-	d.Access(0, 64, true)
-	s := d.Stats()
-	if s.Reads != 1 || s.Writes != 1 || s.BytesMoved != 128 {
-		t.Fatalf("stats = %+v", s)
-	}
-	if s.Accesses() != 2 {
-		t.Fatalf("accesses = %d", s.Accesses())
-	}
-}
-
-func TestRowHitRate(t *testing.T) {
-	var s Stats
-	if s.RowHitRate() != 0 {
-		t.Fatal("empty hit rate should be 0")
-	}
-	d := newTestDRAM()
-	for i := 0; i < 10; i++ {
-		d.Access(0, 0, false)
-	}
-	if hr := d.Stats().RowHitRate(); hr != 0.9 {
-		t.Fatalf("hit rate = %v, want 0.9", hr)
-	}
-}
+import "testing"
 
 func TestPageCacheCapacityEffect(t *testing.T) {
 	// A working set that fits in the big cache but not the small one: the
@@ -143,13 +18,4 @@ func TestPageCacheCapacityEffect(t *testing.T) {
 	if bh, sh := big.Stats().HitRate(), small.Stats().HitRate(); bh <= sh {
 		t.Fatalf("bigger cache hit rate %v not better than smaller %v", bh, sh)
 	}
-}
-
-func TestInvalidGeometryPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid geometry did not panic")
-		}
-	}()
-	New(Geometry{}, DefaultTiming())
 }

@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§6). Each exported method of Suite produces one result as a
-// stats.Table; the per-experiment index in DESIGN.md maps paper artifacts
-// to these methods and to the benchmark targets in the repository root.
+// stats.Table; All runs them in paper order, and `iceclave-bench
+// -experiment` selects one by name.
 //
 // The suite runs serially by default; SetWorkers(n) spreads the
 // independent (workload, mode, config) replays of each experiment across
@@ -118,11 +118,6 @@ func NewSuite(sc workload.Scale, cfg core.Config) *Suite {
 	}
 }
 
-// DefaultSuite uses the experiment scale and Table 3 configuration.
-func DefaultSuite() *Suite {
-	return NewSuite(workload.SmallScale(), core.DefaultConfig())
-}
-
 // SetWorkers sets the replay parallelism (minimum 1, the serial path) and
 // returns the suite for chaining.
 func (s *Suite) SetWorkers(n int) *Suite {
@@ -132,9 +127,6 @@ func (s *Suite) SetWorkers(n int) *Suite {
 	s.workers = n
 	return s
 }
-
-// Workers returns the configured replay parallelism.
-func (s *Suite) Workers() int { return s.workers }
 
 // SetMemoize toggles the replay-result cache (on by default) and returns
 // the suite for chaining. Turning it off makes every run replay fresh —

@@ -83,7 +83,7 @@ func (s *Suite) Table5() (*stats.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := ftl.New(dev, ftl.Config{})
+	f := ftl.New(dev)
 	if _, err := f.Write(0, 0, nil); err != nil {
 		return nil, err
 	}

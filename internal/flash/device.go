@@ -457,15 +457,6 @@ func (d *Device) Erase(at sim.Time, b BlockID) (done sim.Time, err error) {
 	return done, nil
 }
 
-// ChannelBusy returns the accumulated busy time of channel ch, for
-// bandwidth-utilization reporting.
-func (d *Device) ChannelBusy(ch int) sim.Duration {
-	cs := &d.chans[ch]
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	return cs.bus.Busy()
-}
-
 // InternalBandwidth returns the aggregate internal bandwidth in bytes/sec
 // (channels x per-channel bandwidth) — the quantity Figure 12 sweeps.
 func (d *Device) InternalBandwidth() float64 {

@@ -1,23 +1,12 @@
-// Package fleet scales the single-device stack to a rack: it places
-// tenants onto N independent iceclave.SSD devices behind weighted
-// rendezvous hashing, scores each device's health from its fault
-// telemetry, and fails a degraded device over — drain, migrate the
-// tenants' pages through the TEE/MEE encrypted path (re-encrypting
-// under the destination's fresh keys), re-admit on a healthy target.
-//
-// The package has two facets, mirroring the rest of the repository:
-//
-//   - Fleet is the functional rack: live SSDs with per-device
-//     schedulers, wall-clock drain, and real page migration through
-//     TEEs (New / AddTenant / Execute / Failover).
-//
-//   - Replay is the deterministic virtual-time rack: per-device replays
-//     on the discrete-event clock, an epoch health evaluation, and a
-//     modeled migration latency — identical seeds replay identical
-//     failover decisions and identical post-migration Results across
-//     fresh and pooled stacks, and a 1-device fleet is
-//     results-identical to a bare SSD (see ARCHITECTURE.md, "Fleet
-//     placement and failover").
+// Package fleet models a rack of IceClave devices in virtual time: it
+// places tenants onto N devices by weighted rendezvous hashing, scores
+// each device's health from its fault telemetry, and fails a degraded
+// device over to the healthiest one with a modeled migration latency.
+// Replay runs per-device replays on the discrete-event clock with an
+// epoch health evaluation; identical seeds replay identical failover
+// decisions and identical post-migration Results across fresh and pooled
+// stacks, and a 1-device fleet is results-identical to a bare SSD (see
+// ARCHITECTURE.md, "Fleet placement and failover").
 package fleet
 
 import "math"

@@ -34,7 +34,7 @@ func refValidPages(dev *flash.Device, b flash.BlockID) int {
 // refPickFreeBlock is the reference wear-leveling pick: the policy of
 // pickFreeBlock, reading every pooled block's erase count from the
 // device instead of the pool entry. leastWorn reports whether the spread
-// exceeded WearDelta.
+// exceeded wearDelta.
 func refPickFreeBlock(f *FTL, ds *dieState) (idx int, leastWorn bool) {
 	minIdx, minE, maxE := 0, int(^uint(0)>>1), 0
 	for i, pb := range ds.freeBlocks {
@@ -46,7 +46,7 @@ func refPickFreeBlock(f *FTL, ds *dieState) (idx int, leastWorn bool) {
 			maxE = e
 		}
 	}
-	if maxE-minE > f.cfg.WearDelta {
+	if maxE-minE > f.wearDelta {
 		return minIdx, true
 	}
 	return 0, false
@@ -94,10 +94,10 @@ func refPickVictim(f *FTL, ch int) (flash.BlockID, bool) {
 // seeded, skewed, GC-heavy write stream on a 2-channel, 4-dies-per-channel
 // device with program failures and one die death, where every free-block
 // pick and every GC victim must equal the per-block reference's, and every
-// pooled erase count the device's. WearDelta
-// is small enough that the least-worn branch fires. Halfway through, the
-// stack is reset FTL first, so the pools' erase counts must be reloaded
-// from the reset device rather than kept from the worn one.
+// pooled erase count the device's. The test narrows wearDelta so that
+// the least-worn branch fires. Halfway through, the stack is reset FTL
+// first, so the pools' erase counts must be reloaded from the reset
+// device rather than kept from the worn one.
 func TestAllocatorMatchesPerBlockReference(t *testing.T) {
 	geo := flash.Geometry{
 		Channels: 2, ChipsPerChannel: 2, DiesPerChip: 2, PlanesPerDie: 1,
@@ -117,7 +117,8 @@ func TestAllocatorMatchesPerBlockReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev.SetInjector(inj)
-	f := New(dev, Config{WearDelta: 2})
+	f := New(dev)
+	f.wearDelta = 2 // the default 8 never spreads that far in 8,000 writes
 
 	var picks, leastWorn, passes int
 	freePickHook = func(ch, die, idx int) {

@@ -106,7 +106,7 @@ func TestDieDeathDegradesToSurvivors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := New(dev, Config{})
+	f := New(dev)
 	// Kill every program on die 0 of every channel: allocation must fail
 	// over to die 1 and keep succeeding.
 	dev.SetInjector(dieKiller{die: 0})

@@ -69,51 +69,29 @@ var ErrDeviceFull = errors.New("ftl: device full")
 // re-stamp a live owner.
 var ErrOwned = errors.New("ftl: mapping entry already owned")
 
-// Config tunes FTL policy.
-type Config struct {
-	// OverProvision is the fraction of raw capacity hidden from the
-	// logical space and kept for GC headroom. Default 0.125.
-	OverProvision float64
-	// GCFreeBlockLow is the per-channel free-block threshold that triggers
-	// garbage collection. Default 2.
-	GCFreeBlockLow int
-	// WearDelta is the max allowed spread between block erase counts
-	// before allocation steers to the least-worn candidates. Default 8.
-	WearDelta int
-	// StripesPerChannel is the number of mapping-table lock stripes per
+// FTL policy.
+const (
+	// overProvision is the fraction of raw capacity hidden from the
+	// logical space and kept for GC headroom.
+	overProvision = 0.125
+	// gcFreeBlockLow is the per-channel free-block threshold that triggers
+	// garbage collection.
+	gcFreeBlockLow = 2
+	// defaultWearDelta is the max allowed spread between block erase
+	// counts before allocation steers to the least-worn candidates.
+	defaultWearDelta = 8
+	// stripesPerChannel is the number of mapping-table lock stripes per
 	// channel. More stripes mean less contention between readers of
-	// nearby LPAs at the cost of lock-array footprint. Default 8.
-	StripesPerChannel int
-	// ReadRetries bounds how many times a read failing with
+	// nearby LPAs at the cost of lock-array footprint.
+	stripesPerChannel = 8
+	// readRetries bounds how many times a read failing with
 	// flash.ErrTransientRead is reissued before the error surfaces.
-	// Default 3.
-	ReadRetries int
-	// ProgramRetries bounds how many times a failed program is re-staged
+	readRetries = 3
+	// programRetries bounds how many times a failed program is re-staged
 	// to a fresh block (after retiring the bad block or dead die) before
-	// the error surfaces. Default 3.
-	ProgramRetries int
-}
-
-func (c *Config) applyDefaults() {
-	if c.OverProvision <= 0 || c.OverProvision >= 1 {
-		c.OverProvision = 0.125
-	}
-	if c.GCFreeBlockLow <= 0 {
-		c.GCFreeBlockLow = 2
-	}
-	if c.WearDelta <= 0 {
-		c.WearDelta = 8
-	}
-	if c.StripesPerChannel <= 0 {
-		c.StripesPerChannel = 8
-	}
-	if c.ReadRetries <= 0 {
-		c.ReadRetries = 3
-	}
-	if c.ProgramRetries <= 0 {
-		c.ProgramRetries = 3
-	}
-}
+	// the error surfaces.
+	programRetries = 3
+)
 
 // Stats aggregates FTL activity.
 type Stats struct {
@@ -235,7 +213,7 @@ type mappingStripe struct {
 // FTL is safe for concurrent use under a sharded, two-level lock
 // hierarchy (PR 1's single coarse mutex is gone):
 //
-//   - A mapping stripe (stripes[l % S], S = Channels*StripesPerChannel)
+//   - A mapping stripe (stripes[l % S], S = Channels*stripesPerChannel)
 //     guards the table entry of LPA l: its PPA, ID bits, and valid bit.
 //     Translations, permission checks, and the fused translate+read
 //     critical sections hold only the stripe.
@@ -269,7 +247,9 @@ type mappingStripe struct {
 type FTL struct {
 	dev *flash.Device
 	geo flash.Geometry
-	cfg Config
+	// wearDelta is defaultWearDelta; tests narrow it so the least-worn
+	// allocation branch fires on a short write stream.
+	wearDelta int
 
 	stripes []mappingStripe
 	table   []entry // entry l guarded by stripes[l % len(stripes)]
@@ -321,15 +301,14 @@ var releaseHook func(l LPA)
 const invalidLPA = ^LPA(0)
 
 // New builds an FTL over dev. Every block starts free.
-func New(dev *flash.Device, cfg Config) *FTL {
-	cfg.applyDefaults()
+func New(dev *flash.Device) *FTL {
 	geo := dev.Geometry()
-	logical := int64(float64(geo.TotalPages()) * (1 - cfg.OverProvision))
+	logical := int64(float64(geo.TotalPages()) * (1 - overProvision))
 	f := &FTL{
 		dev:          dev,
 		geo:          geo,
-		cfg:          cfg,
-		stripes:      make([]mappingStripe, geo.Channels*cfg.StripesPerChannel),
+		wearDelta:    defaultWearDelta,
+		stripes:      make([]mappingStripe, geo.Channels*stripesPerChannel),
 		table:        make([]entry, logical),
 		reverse:      make([]LPA, geo.TotalPages()),
 		chans:        make([]channelShard, geo.Channels),
@@ -395,9 +374,6 @@ func (f *FTL) loadPoolWear(ch int) {
 
 // LogicalPages returns the number of LPAs exposed.
 func (f *FTL) LogicalPages() int64 { return f.logicalPages }
-
-// LogicalBytes returns the logical capacity in bytes.
-func (f *FTL) LogicalBytes() int64 { return f.logicalPages * int64(f.geo.PageSize) }
 
 // Device returns the underlying flash device.
 func (f *FTL) Device() *flash.Device { return f.dev }
@@ -481,30 +457,13 @@ func (f *FTL) IDOf(l LPA) (TEEID, error) {
 	return f.table[l].id, nil
 }
 
-// SetID sets the ID bits of l's entry. This is the FTL half of the
-// runtime's SetIDBits API and runs in the secure world. The FTL keeps no
-// per-ID record of its stamps: the runtime lists every page it stamps
-// and hands that list to ReleaseIDs at teardown, so any other caller of
-// SetID or ClaimID must release its own stamps the same way.
-func (f *FTL) SetID(l LPA, id TEEID) error {
-	if err := f.checkLPA(l); err != nil {
-		return err
-	}
-	if id > MaxTEEID {
-		return fmt.Errorf("ftl: TEE ID %d exceeds 4 bits", id)
-	}
-	st := f.stripeOf(l)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	f.markDirty(st, l)
-	f.table[l].id = id
-	return nil
-}
-
 // ClaimID stamps id into l's entry only if the entry is unowned (or
 // already carries id) — the check and the stamp are atomic under l's
-// stripe, so two TEEs racing to claim one LPA cannot both win. SetID
-// remains the unconditional secure-world override.
+// stripe, so two TEEs racing to claim one LPA cannot both win. This is
+// the FTL half of the runtime's SetIDBits API and runs in the secure
+// world. The FTL keeps no per-ID record of its stamps: the runtime lists
+// every page it stamps and hands that list to ReleaseIDs at teardown, so
+// any other caller of ClaimID must release its own stamps the same way.
 func (f *FTL) ClaimID(l LPA, id TEEID) error {
 	if err := f.checkLPA(l); err != nil {
 		return err
@@ -547,13 +506,13 @@ func (f *FTL) ReleaseIDs(id TEEID, lpas []LPA) {
 	}
 }
 
-// readRetry issues a device read, reissuing up to ReadRetries times on
+// readRetry issues a device read, reissuing up to readRetries times on
 // flash.ErrTransientRead; each retry starts at the failed attempt's
 // completion time, so the retry latency lands on the virtual clock. Any
 // other error (including flash.ErrDieDead) surfaces immediately.
 func (f *FTL) readRetry(at sim.Time, ppa flash.PPA) (done sim.Time, data []byte, err error) {
 	done, data, err = f.dev.Read(at, ppa)
-	for r := 0; r < f.cfg.ReadRetries && errors.Is(err, flash.ErrTransientRead); r++ {
+	for r := 0; r < readRetries && errors.Is(err, flash.ErrTransientRead); r++ {
 		f.stats.readRetries.Add(1)
 		done, data, err = f.dev.Read(done, ppa)
 	}
@@ -564,7 +523,7 @@ func (f *FTL) readRetry(at sim.Time, ppa flash.PPA) (done sim.Time, data []byte,
 // Translation and the device read happen under l's mapping stripe, so a
 // concurrent GC pass (which takes the stripe before relocating a page)
 // cannot move the page between the two. Transient read faults are
-// retried up to Config.ReadRetries times before surfacing.
+// retried up to readRetries times before surfacing.
 func (f *FTL) Read(at sim.Time, l LPA) (done sim.Time, data []byte, err error) {
 	if err := f.checkLPA(l); err != nil {
 		return at, nil, err
@@ -617,7 +576,7 @@ func (f *FTL) ReadFor(at sim.Time, l LPA, id TEEID) (done sim.Time, ppa flash.PP
 //
 // A program failing with flash.ErrProgramFail retires the block to the
 // bad-block table and re-stages the write to a fresh block (up to
-// Config.ProgramRetries times, each attempt starting at the failed one's
+// programRetries times, each attempt starting at the failed one's
 // completion time); flash.ErrDieDead retires the whole die the same way.
 func (f *FTL) Write(at sim.Time, l LPA, data []byte) (done sim.Time, err error) {
 	if err := f.checkLPA(l); err != nil {
@@ -752,7 +711,7 @@ func (f *FTL) abandon(ch int, ppa flash.PPA) {
 // virtual time the next staging attempt should start at; any other
 // error, or an exhausted retry budget, surfaces to the caller.
 func (f *FTL) recoverProgram(err error, ch int, ppa flash.PPA, failDone sim.Time, attempt int) (sim.Time, bool) {
-	if attempt >= f.cfg.ProgramRetries {
+	if attempt >= programRetries {
 		return 0, false
 	}
 	b := f.geo.BlockOf(ppa)
@@ -884,7 +843,7 @@ func (f *FTL) pickChannel(l LPA) int { return int(uint32(l) % uint32(f.geo.Chann
 // allocate hands out the next free page in ch, round-robining across the
 // channel's dies so consecutive writes stripe over die-level parallelism.
 // Within a die, allocation prefers the least-worn free block once wear
-// spread exceeds WearDelta. Caller holds the channel shard.
+// spread exceeds wearDelta. Caller holds the channel shard.
 func (f *FTL) allocate(ch int) (flash.PPA, error) {
 	cs := &f.chans[ch]
 	n := len(cs.dies)
@@ -924,7 +883,7 @@ func (f *FTL) allocate(ch int) (flash.PPA, error) {
 
 // pickFreeBlock implements the wear-leveling allocation policy: normally
 // FIFO, but when the erase-count spread across the die's free pool
-// exceeds WearDelta, pick the least-worn block so cold blocks absorb new
+// exceeds wearDelta, pick the least-worn block so cold blocks absorb new
 // writes. The counts come from the pool entries, so the scan makes no
 // device call. Caller holds the channel shard.
 func (f *FTL) pickFreeBlock(ds *dieState) int {
@@ -937,7 +896,7 @@ func (f *FTL) pickFreeBlock(ds *dieState) int {
 			maxE = pb.erases
 		}
 	}
-	if int(maxE-minE) > f.cfg.WearDelta {
+	if int(maxE-minE) > f.wearDelta {
 		return minIdx
 	}
 	return 0
@@ -947,7 +906,7 @@ func (f *FTL) pickFreeBlock(ds *dieState) int {
 // the low-water mark or no further space can be reclaimed. Caller holds
 // the channel shard but no mapping stripe (GC takes stripes itself).
 func (f *FTL) ensureFree(at sim.Time, ch int) (sim.Time, error) {
-	for f.chans[ch].freeTotal() < f.cfg.GCFreeBlockLow {
+	for f.chans[ch].freeTotal() < gcFreeBlockLow {
 		done, reclaimed, err := f.collectChannel(at, ch)
 		if err != nil {
 			return at, err
@@ -1036,7 +995,7 @@ func (f *FTL) relocate(at sim.Time, src flash.PPA, l LPA, ch int) (sim.Time, err
 		if err != nil {
 			// Same recovery as the write path, but the shard is already
 			// held, so retire/kill in place and re-allocate.
-			if attempt < f.cfg.ProgramRetries {
+			if attempt < programRetries {
 				switch {
 				case errors.Is(err, flash.ErrProgramFail):
 					f.stats.programFails.Add(1)

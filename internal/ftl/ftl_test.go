@@ -28,7 +28,7 @@ func newTestFTL(t *testing.T) *FTL {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(dev, Config{})
+	return New(dev)
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
@@ -79,7 +79,7 @@ func TestRewriteInvalidatesOldPage(t *testing.T) {
 func TestIDBitsEnforced(t *testing.T) {
 	f := newTestFTL(t)
 	f.Write(0, 5, nil)
-	if err := f.SetID(5, 3); err != nil {
+	if err := f.ClaimID(5, 3); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := f.TranslateFor(5, 3); err != nil {
@@ -96,7 +96,7 @@ func TestIDBitsEnforced(t *testing.T) {
 func TestIDSurvivesRewriteAndGC(t *testing.T) {
 	f := newTestFTL(t)
 	f.Write(0, 2, nil)
-	f.SetID(2, 7)
+	f.ClaimID(2, 7)
 	f.Write(0, 2, nil) // rewrite
 	if id, _ := f.IDOf(2); id != 7 {
 		t.Fatalf("ID after rewrite = %d, want 7", id)
@@ -115,13 +115,11 @@ func TestReleaseIDs(t *testing.T) {
 		}
 	}
 	for _, l := range []LPA{1, 3, 5, 7, 9} { // LPA 9 is never written
-		if err := f.SetID(l, 5); err != nil {
+		if err := f.ClaimID(l, 5); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := f.SetID(3, 6); err != nil { // re-stamped to another TEE
-		t.Fatal(err)
-	}
+	f.table[3].id = 6 // re-stamped to another TEE
 	f.ReleaseIDs(5, []LPA{1, 3, 9, LPA(f.LogicalPages()), 7, 7})
 	want := map[LPA]TEEID{1: IDNone, 3: 6, 5: 5, 7: IDNone, 9: IDNone}
 	for l, id := range want {
@@ -149,7 +147,7 @@ func TestReleaseIDsVisitsOnlyListed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f := New(dev, Config{})
+		f := New(dev)
 		lpas := []LPA{0, 2, 5, 11, 40}
 		for _, l := range lpas {
 			if err := f.ClaimID(l, 4); err != nil {
@@ -166,10 +164,10 @@ func TestReleaseIDsVisitsOnlyListed(t *testing.T) {
 
 func TestSetIDValidation(t *testing.T) {
 	f := newTestFTL(t)
-	if err := f.SetID(0, 16); err == nil {
+	if err := f.ClaimID(0, 16); err == nil {
 		t.Fatal("5-bit ID accepted")
 	}
-	if err := f.SetID(LPA(f.LogicalPages()), 1); err == nil {
+	if err := f.ClaimID(LPA(f.LogicalPages()), 1); err == nil {
 		t.Fatal("out-of-range LPA accepted")
 	}
 }
@@ -203,7 +201,7 @@ func TestReadYourWritesUnderGCProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		fl := New(dev, Config{})
+		fl := New(dev)
 		rng := sim.NewRNG(seed)
 		const lpas = 24
 		shadow := make(map[LPA]uint64)

@@ -38,7 +38,7 @@ func TestGCChannelIsolationUnderWriteStorm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := New(dev, Config{})
+	f := New(dev)
 
 	const rounds = 300
 	var wg sync.WaitGroup
@@ -133,7 +133,7 @@ func TestGCOnHostageChannelDoesNotBlockOthers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := New(dev, Config{})
+	f := New(dev)
 
 	f.chans[0].mu.Lock()
 	for s := range f.stripes {

@@ -39,7 +39,7 @@ func TestDiePipeliningOverlap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := New(dev, Config{})
+	f := New(dev)
 	xfer := dev.PageTransferTime()
 	if _, err := f.Write(0, 0, nil); err != nil {
 		t.Fatal(err)
@@ -61,7 +61,7 @@ func TestDiePipeliningOverlap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f1 := New(dev1, Config{})
+	f1 := New(dev1)
 	if _, err := f1.Write(0, 0, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestStageWaitsForInFlightPrograms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := New(dev, Config{})
+	f := New(dev)
 
 	// Drive channel 0 (blocks 0 and 1) to: block 0 = one valid + one
 	// invalid page (the only victim candidate), block 1 = active, free
@@ -235,7 +235,7 @@ func TestConcurrentSameChannelWriters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := New(dev, Config{})
+	f := New(dev)
 
 	const writers, rounds = 4, 150
 	var wg sync.WaitGroup

@@ -51,7 +51,7 @@ func driveFTL(t *testing.T, f *FTL) string {
 func TestFTLResetEquivalentToFresh(t *testing.T) {
 	a := newTestFTL(t)
 	driveFTL(t, a)
-	if err := a.SetID(3, 7); err != nil {
+	if err := a.ClaimID(3, 7); err != nil {
 		t.Fatal(err)
 	}
 	resetStack(a)
@@ -116,7 +116,7 @@ func TestResetClearsOrphanedPages(t *testing.T) {
 	f := newTestFTL(t)
 	const l = LPA(5)
 	programHook = func(int) {
-		if err := f.SetID(l, 2); err != nil {
+		if err := f.ClaimID(l, 2); err != nil {
 			t.Error(err)
 		}
 	}

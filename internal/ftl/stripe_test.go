@@ -74,7 +74,7 @@ func TestCrossChannelNoSharedLock(t *testing.T) {
 			done <- fmt.Errorf("translate: %w", err)
 			return
 		}
-		if err := f.SetID(l1, 3); err != nil {
+		if err := f.ClaimID(l1, 3); err != nil {
 			done <- fmt.Errorf("setid: %w", err)
 			return
 		}
@@ -114,7 +114,7 @@ func TestConcurrentChannelPinnedTenants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := New(dev, Config{})
+	f := New(dev)
 
 	const rounds = 200
 	lpasPerTenant := 4
@@ -200,7 +200,7 @@ func TestConcurrentMixedStripeOwnership(t *testing.T) {
 		if _, err := f.Write(0, l, []byte{byte(l)}); err != nil {
 			t.Fatal(err)
 		}
-		if err := f.SetID(l, TEEID(1+l%2)); err != nil {
+		if err := f.ClaimID(l, TEEID(1+l%2)); err != nil {
 			t.Fatal(err)
 		}
 		lpas = append(lpas, l)
@@ -314,7 +314,7 @@ func BenchmarkChannelScaling(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			f := New(dev, Config{})
+			f := New(dev)
 			for b.Loop() {
 				if err := leg.pass(f); err != nil {
 					b.Fatal(err)

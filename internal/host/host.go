@@ -47,11 +47,10 @@ func DefaultPCIeConfig() PCIeConfig {
 // reads and host-to-device writes ride separate lanes and do not block
 // each other.
 type PCIe struct {
-	cfg   PCIeConfig
-	up    *sim.Server // device -> host (reads)
-	down  *sim.Server // host -> device (writes)
-	cmds  int64
-	moved int64
+	cfg  PCIeConfig
+	up   *sim.Server // device -> host (reads)
+	down *sim.Server // host -> device (writes)
+	cmds int64
 }
 
 // NewPCIe builds the link model. It panics on a non-positive bandwidth.
@@ -70,25 +69,6 @@ func (p *PCIe) Config() PCIeConfig { return p.cfg }
 
 // Commands returns how many NVMe commands have been issued.
 func (p *PCIe) Commands() int64 { return p.cmds }
-
-// Transfer moves n bytes to the host starting at time at, splitting the
-// stream into MaxPayload commands, each paying the full per-command stack
-// cost serially. It returns the completion time.
-func (p *PCIe) Transfer(at sim.Time, n int64) (done sim.Time) {
-	if n <= 0 {
-		return at
-	}
-	done = at
-	for n > 0 {
-		chunk := min64(n, p.cfg.MaxPayload)
-		busy := p.cfg.PerCommand + sim.DurationForBytes(chunk, p.cfg.BytesPerSec)
-		_, done = p.up.Acquire(done, busy)
-		p.moved += chunk
-		n -= chunk
-		p.cmds++
-	}
-	return done
-}
 
 // TransferStream moves n bytes as part of a long readahead stream: the
 // link reservation includes the host-stack cost amortized at MaxPayload
@@ -112,29 +92,11 @@ func (p *PCIe) stream(lane *sim.Server, at sim.Time, n int64) (done sim.Time) {
 	busy := stack + sim.DurationForBytes(n, p.cfg.BytesPerSec)
 	p.cmds += (n + p.cfg.MaxPayload - 1) / p.cfg.MaxPayload
 	_, done = lane.Acquire(at, busy)
-	p.moved += n
 	return done
 }
 
-// EffectiveBandwidth returns the delivered bytes/sec for a long stream of
-// MaxPayload commands — the figure to compare against internal bandwidth.
-func (p *PCIe) EffectiveBandwidth() float64 {
-	per := sim.DurationForBytes(p.cfg.MaxPayload, p.cfg.BytesPerSec) + p.cfg.PerCommand
-	return float64(p.cfg.MaxPayload) / per.Seconds()
-}
-
-// Moved returns the total bytes transferred.
-func (p *PCIe) Moved() int64 { return p.moved }
-
 // Reset clears link reservations and counters.
-func (p *PCIe) Reset() { p.up.Reset(); p.down.Reset(); p.cmds = 0; p.moved = 0 }
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
+func (p *PCIe) Reset() { p.up.Reset(); p.down.Reset(); p.cmds = 0 }
 
 // SGXConfig is the cost model for the Host+SGX baseline: enclave MEE
 // traffic and EPC paging inflate compute, and data entering the enclave

@@ -8,7 +8,7 @@ import (
 
 func TestPCIeTransferChargesPerCommand(t *testing.T) {
 	p := NewPCIe(PCIeConfig{BytesPerSec: 1e9, PerCommand: 10 * sim.Microsecond, MaxPayload: 1 << 20})
-	done := p.Transfer(0, 2<<20) // two commands
+	done := p.TransferStream(0, 2<<20) // two commands
 	raw := sim.DurationForBytes(2<<20, 1e9)
 	if done <= raw {
 		t.Fatalf("transfer %v did not include command overhead (raw %v)", done, raw)
@@ -20,7 +20,8 @@ func TestPCIeTransferChargesPerCommand(t *testing.T) {
 
 func TestPCIeEffectiveBandwidthBelowLink(t *testing.T) {
 	p := NewPCIe(DefaultPCIeConfig())
-	eff := p.EffectiveBandwidth()
+	const n = 1 << 30
+	eff := float64(n) / p.TransferStream(0, n).Seconds()
 	if eff >= p.Config().BytesPerSec {
 		t.Fatalf("effective bandwidth %v not below link rate", eff)
 	}
@@ -37,7 +38,7 @@ func TestPCIeEffectiveBandwidthBelowLink(t *testing.T) {
 
 func TestPCIeZeroBytes(t *testing.T) {
 	p := NewPCIe(DefaultPCIeConfig())
-	if done := p.Transfer(42, 0); done != 42 {
+	if done := p.TransferStream(42, 0); done != 42 {
 		t.Fatal("zero-byte transfer took time")
 	}
 }
@@ -45,19 +46,19 @@ func TestPCIeZeroBytes(t *testing.T) {
 func TestPCIeSmallerRequestsSlower(t *testing.T) {
 	big := NewPCIe(PCIeConfig{BytesPerSec: 3.2e9, PerCommand: 20 * sim.Microsecond, MaxPayload: 128 << 10})
 	small := NewPCIe(PCIeConfig{BytesPerSec: 3.2e9, PerCommand: 20 * sim.Microsecond, MaxPayload: 4 << 10})
-	if big.EffectiveBandwidth() <= small.EffectiveBandwidth() {
+	if big.TransferStream(0, 1<<20) >= small.TransferStream(0, 1<<20) {
 		t.Fatal("larger requests should deliver more bandwidth")
 	}
 }
 
 func TestPCIeReset(t *testing.T) {
 	p := NewPCIe(DefaultPCIeConfig())
-	p.Transfer(0, 1<<20)
+	p.TransferStream(0, 1<<20)
 	p.Reset()
 	if p.Commands() != 0 {
 		t.Fatal("reset did not clear command count")
 	}
-	done := p.Transfer(0, 64<<10)
+	done := p.TransferStream(0, 64<<10)
 	want := p.Config().PerCommand + sim.DurationForBytes(64<<10, p.Config().BytesPerSec)
 	if done != want {
 		t.Fatalf("post-reset transfer = %v, want %v", done, want)

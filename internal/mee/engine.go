@@ -1,22 +1,25 @@
 // Package mee implements IceClave's memory encryption engine for SSD DRAM
-// (paper §4.4): counter-mode encryption with the hybrid-counter scheme
-// (major-only counters for read-only pages, split counters for writable
-// pages), two Bonsai Merkle Trees for integrity, and a counter-cache
-// traffic model that quantifies the extra DRAM accesses encryption and
+// (paper §4.4): counter-mode encryption with split counters, counters
+// authenticated up to trusted on-chip state, and a counter-cache traffic
+// model that quantifies the extra DRAM accesses encryption and
 // verification cost (Table 6, Figure 8).
 //
 // The package has two faces:
 //
 //   - Engine is a functional encrypted memory: it really encrypts 64-byte
 //     lines with an AES-CTR one-time pad, really MACs them with SHA-256,
-//     and really detects tampering, replay, and counter corruption.
+//     and really detects tampering, replay, and counter corruption. Every
+//     page carries split counters; it backs tee.Runtime.Memory() and the
+//     attacks example, not the replayed data path.
 //   - TrafficModel is the statistical counter-cache simulation the timing
-//     experiments drive with millions of accesses.
+//     experiments drive with millions of accesses. The paper's hybrid
+//     counters (major-only for read-only pages, split for writable ones)
+//     and its Bonsai Merkle Tree walk live there only.
 //
 // Concurrency contract: Engine is safe for concurrent use (one mutex
-// serializes page-state and root updates; the AES key schedule is
-// expanded once and read-only after construction). TrafficModel is not —
-// each replay drives a private instance.
+// serializes page-state updates; the AES key schedule is expanded once
+// and read-only after construction). TrafficModel is not — each replay
+// drives a private instance.
 package mee
 
 import (
@@ -47,10 +50,6 @@ const MinorLimit = 64
 // memory returned different bytes than the processor last wrote.
 var ErrIntegrity = errors.New("mee: integrity verification failed")
 
-// ErrReadOnly is returned when writing a line of a page currently marked
-// read-only.
-var ErrReadOnly = errors.New("mee: write to read-only page")
-
 // counterSet is the split counter state of one writable page: a 64-bit
 // major counter plus one 6-bit minor counter per line.
 type counterSet struct {
@@ -64,15 +63,13 @@ type counterSet struct {
 // tamper/replay methods simulate.
 //
 // Ciphertext and MACs live in dense per-page arrays (one contiguous 4 KB
-// ciphertext image plus a presence bitmap) rather than per-line maps:
-// page-granular operations touch all 64 lines, so the map probes were
-// pure overhead on the bulk path.
+// ciphertext image plus a presence bitmap): a minor-counter overflow
+// re-encrypts every line of the page at once.
 type pageState struct {
-	readonly bool
-	ctr      counterSet
-	present  [LinesPerPage]bool     // line written at least once
-	ct       [PageSize]byte         // dense ciphertext image
-	macs     [LinesPerPage][32]byte // MAC over (ciphertext, counter, address)
+	ctr     counterSet
+	present [LinesPerPage]bool     // line written at least once
+	ct      [PageSize]byte         // dense ciphertext image
+	macs    [LinesPerPage][32]byte // MAC over (ciphertext, counter, address)
 }
 
 // lineCT returns the ciphertext of one line of the dense image.
@@ -84,27 +81,23 @@ func (ps *pageState) lineCT(line int) []byte {
 // plaintext exists solely in the (simulated) processor.
 //
 // Integrity follows the Bonsai Merkle Tree argument: MACs bind data to
-// counters, and counters are authenticated up to an on-chip root. The
-// engine maintains that chain as a per-page counter digest held in the
-// verified counter cache (trusted, on-chip in real MEEs) plus two root
-// accumulators — one per tree of Figure 7 — updated incrementally on every
+// counters, and counters are authenticated by on-chip state. The engine
+// keeps that state as a per-page counter digest held in the verified
+// counter cache (trusted, on-chip in real MEEs), refreshed on every
 // legitimate counter change. Replaying DRAM-side state rolls back the
 // counters but cannot touch the verified digests, so reads detect it. The
 // log-depth traffic of a real 8-ary BMT walk is charged by TrafficModel.
 //
 // Engine is safe for concurrent use: one mutex serializes all page-state
-// and root-accumulator updates, so concurrent TEE heaps sharing one MEE
-// cannot tear a counter/MAC/root triple.
+// and digest updates, so concurrent TEE heaps sharing one MEE cannot
+// tear a counter/MAC/digest triple.
 type Engine struct {
 	mu     sync.Mutex
-	aesKey [16]byte
 	block  cipher.Block // AES key schedule, expanded once at construction
 	macKey [32]byte
 	pages  map[uint64]*pageState // DRAM-side state
 	// trusted is the verified counter digest per page (on-chip perimeter).
 	trusted map[uint64][32]byte
-	roRoot  [32]byte // XOR-accumulated root over read-only page digests
-	rwRoot  [32]byte // XOR-accumulated root over writable page digests
 }
 
 // NewEngine returns a functional engine with the given device secrets.
@@ -114,7 +107,6 @@ func NewEngine(aesKey [16]byte, macKey [32]byte) *Engine {
 		panic(err) // 16-byte key cannot fail
 	}
 	return &Engine{
-		aesKey:  aesKey,
 		block:   block,
 		macKey:  macKey,
 		pages:   make(map[uint64]*pageState),
@@ -161,47 +153,25 @@ func (e *Engine) mac(page uint64, line int, major uint64, minor uint8, ct []byte
 	return out
 }
 
-// digest hashes a page's protection state (mode + counters): the quantity
-// the integrity tree authenticates.
+// digest hashes a page's counters: the quantity the integrity tree
+// authenticates.
 func (e *Engine) digest(p uint64, ps *pageState) [32]byte {
 	h := sha256.New()
 	h.Write(e.macKey[:])
-	var buf [17]byte
+	var buf [16]byte
 	binary.LittleEndian.PutUint64(buf[0:], p)
 	binary.LittleEndian.PutUint64(buf[8:], ps.ctr.major)
-	if ps.readonly {
-		buf[16] = 1
-	}
 	h.Write(buf[:])
-	if !ps.readonly {
-		h.Write(ps.ctr.minors[:])
-	}
+	h.Write(ps.ctr.minors[:])
 	var out [32]byte
 	h.Sum(out[:0])
 	return out
 }
 
-func xorInto(dst *[32]byte, src [32]byte) {
-	for i := range dst {
-		dst[i] ^= src[i]
-	}
-}
-
-// commitCounters refreshes the verified digest and root accumulators after
-// a legitimate counter change. wasRO tells which tree held the old digest.
-func (e *Engine) commitCounters(p uint64, ps *pageState, old [32]byte, wasRO bool) {
-	if wasRO {
-		xorInto(&e.roRoot, old)
-	} else {
-		xorInto(&e.rwRoot, old)
-	}
-	d := e.digest(p, ps)
-	e.trusted[p] = d
-	if ps.readonly {
-		xorInto(&e.roRoot, d)
-	} else {
-		xorInto(&e.rwRoot, d)
-	}
+// commitCounters refreshes the verified digest after a legitimate counter
+// change.
+func (e *Engine) commitCounters(p uint64, ps *pageState) {
+	e.trusted[p] = e.digest(p, ps)
 }
 
 // verifyCounters checks the DRAM-side counters of p against the verified
@@ -213,20 +183,12 @@ func (e *Engine) verifyCounters(p uint64, ps *pageState) error {
 	return nil
 }
 
-// Roots returns the two tree root registers (read-only tree, writable
-// tree) for inspection by tests and attestation flows.
-func (e *Engine) Roots() (ro, rw [32]byte) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.roRoot, e.rwRoot
-}
-
 func (e *Engine) page(p uint64) *pageState {
 	ps, ok := e.pages[p]
 	if !ok {
 		ps = new(pageState)
 		e.pages[p] = ps
-		e.commitCounters(p, ps, [32]byte{}, false)
+		e.commitCounters(p, ps)
 	}
 	return ps
 }
@@ -243,33 +205,23 @@ func checkLine(line int) error {
 // re-encryption path (major bump, minors reset), exactly the split-counter
 // behaviour whose cost the hybrid scheme avoids for read-only pages.
 func (e *Engine) Write(p uint64, line int, data []byte) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.write(p, line, data)
-}
-
-// write is the Write body, e.mu held.
-func (e *Engine) write(p uint64, line int, data []byte) error {
 	if err := checkLine(line); err != nil {
 		return err
 	}
 	if len(data) != LineSize {
 		return fmt.Errorf("mee: write of %d bytes, want %d", len(data), LineSize)
 	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	ps := e.page(p)
-	if ps.readonly {
-		return fmt.Errorf("%w: page %d", ErrReadOnly, p)
-	}
-	old := e.trusted[p]
 	if ps.ctr.minors[line] >= MinorLimit-1 {
 		if err := e.reencryptPage(p, ps); err != nil {
 			return err
 		}
-		old = e.trusted[p]
 	}
 	ps.ctr.minors[line]++
 	e.sealLine(p, ps, line, data)
-	e.commitCounters(p, ps, old, false)
+	e.commitCounters(p, ps)
 	return nil
 }
 
@@ -277,9 +229,6 @@ func (e *Engine) write(p uint64, line int, data []byte) error {
 // ciphertext image and refreshes its MAC.
 func (e *Engine) sealLine(p uint64, ps *pageState, line int, data []byte) {
 	minor := ps.ctr.minors[line]
-	if ps.readonly {
-		minor = 0
-	}
 	pad := e.pad(p, line, ps.ctr.major, minor)
 	ct := ps.lineCT(line)
 	for i := range ct {
@@ -304,8 +253,6 @@ func (e *Engine) reencryptPage(p uint64, ps *pageState) error {
 		}
 		copy(plain[line*LineSize:], data)
 	}
-	old := e.trusted[p]
-	wasRO := ps.readonly
 	ps.ctr.major++
 	ps.ctr.minors = [LinesPerPage]uint8{}
 	for line := 0; line < LinesPerPage; line++ {
@@ -313,56 +260,39 @@ func (e *Engine) reencryptPage(p uint64, ps *pageState) error {
 			e.sealLine(p, ps, line, plain[line*LineSize:(line+1)*LineSize])
 		}
 	}
-	e.commitCounters(p, ps, old, wasRO)
+	e.commitCounters(p, ps)
 	return nil
 }
 
 // readLine decrypts and verifies one line's MAC (the caller verifies the
 // counter tree once per operation).
 func (e *Engine) readLine(p uint64, ps *pageState, line int) ([]byte, error) {
-	out := make([]byte, LineSize)
-	if err := e.readLineInto(p, ps, line, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// readLineInto is readLine decrypting into a caller-owned buffer, the
-// allocation-free core ReadPage loops over.
-func (e *Engine) readLineInto(p uint64, ps *pageState, line int, out []byte) error {
 	if !ps.present[line] {
-		return fmt.Errorf("mee: read of unwritten line %d of page %d", line, p)
+		return nil, fmt.Errorf("mee: read of unwritten line %d of page %d", line, p)
 	}
 	ct := ps.lineCT(line)
 	minor := ps.ctr.minors[line]
-	if ps.readonly {
-		minor = 0
-	}
 	want := e.mac(p, line, ps.ctr.major, minor, ct)
 	if want != ps.macs[line] {
-		return fmt.Errorf("%w: MAC mismatch on page %d line %d", ErrIntegrity, p, line)
+		return nil, fmt.Errorf("%w: MAC mismatch on page %d line %d", ErrIntegrity, p, line)
 	}
 	pad := e.pad(p, line, ps.ctr.major, minor)
-	for i := range out[:LineSize] {
+	out := make([]byte, LineSize)
+	for i := range out {
 		out[i] = ct[i] ^ pad[i]
 	}
-	return nil
+	return out, nil
 }
 
 // Read verifies and decrypts one line of page p: counter-tree check (which
 // defeats replay of an old ciphertext/MAC/counter triple), then MAC check,
 // then decryption.
 func (e *Engine) Read(p uint64, line int) ([]byte, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.read(p, line)
-}
-
-// read is the Read body, e.mu held.
-func (e *Engine) read(p uint64, line int) ([]byte, error) {
 	if err := checkLine(line); err != nil {
 		return nil, err
 	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	ps, ok := e.pages[p]
 	if !ok {
 		return nil, fmt.Errorf("mee: read of unmapped page %d", p)
@@ -371,133 +301,6 @@ func (e *Engine) read(p uint64, line int) ([]byte, error) {
 		return nil, err
 	}
 	return e.readLine(p, ps, line)
-}
-
-// SetReadOnly transitions a page between writable and read-only. Following
-// §4.4: writable→read-only copies the (incremented) major counter into the
-// major-counter tree and drops the minors; read-only→writable seeds a
-// split-counter entry with a bumped major and zero minors. Both directions
-// re-encrypt resident lines under the new counter so later reads use the
-// right pad.
-func (e *Engine) SetReadOnly(p uint64, ro bool) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	ps := e.page(p)
-	if ps.readonly == ro {
-		return nil
-	}
-	if err := e.verifyCounters(p, ps); err != nil {
-		return err
-	}
-	var plain [PageSize]byte
-	for line := 0; line < LinesPerPage; line++ {
-		if !ps.present[line] {
-			continue
-		}
-		data, err := e.readLine(p, ps, line)
-		if err != nil {
-			return err
-		}
-		copy(plain[line*LineSize:], data)
-	}
-	old := e.trusted[p]
-	wasRO := ps.readonly
-	ps.ctr.major++
-	ps.ctr.minors = [LinesPerPage]uint8{}
-	ps.readonly = ro
-	for line := 0; line < LinesPerPage; line++ {
-		if ps.present[line] {
-			e.sealLine(p, ps, line, plain[line*LineSize:(line+1)*LineSize])
-		}
-	}
-	e.commitCounters(p, ps, old, wasRO)
-	return nil
-}
-
-// WritePage writes a whole 4 KB page (used when loading decrypted flash
-// data into protected DRAM). The page must be writable.
-//
-// This is a true bulk operation: the engine mutex is taken once, every
-// line's minor is bumped and its ciphertext/MAC refreshed, and the page's
-// counter digest is committed to the verified tree once — not once per
-// line, which made the per-line loop pay 64 SHA-256 page digests. When
-// any line's minor counter is about to overflow, the page falls back to
-// the per-line path so the re-encryption sequence stays exactly the
-// 64-single-line-writes one (the equivalence test pins bulk == 64 x
-// Write in both regimes).
-func (e *Engine) WritePage(p uint64, data []byte) error {
-	if len(data) != PageSize {
-		return fmt.Errorf("mee: page write of %d bytes", len(data))
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	ps := e.page(p)
-	if ps.readonly {
-		return fmt.Errorf("%w: page %d", ErrReadOnly, p)
-	}
-	for line := 0; line < LinesPerPage; line++ {
-		if ps.ctr.minors[line] >= MinorLimit-1 {
-			// Overflow mid-page: replay the per-line sequence exactly.
-			for l := 0; l < LinesPerPage; l++ {
-				if err := e.write(p, l, data[l*LineSize:(l+1)*LineSize]); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-	}
-	old := e.trusted[p]
-	for line := 0; line < LinesPerPage; line++ {
-		ps.ctr.minors[line]++
-		e.sealLine(p, ps, line, data[line*LineSize:(line+1)*LineSize])
-	}
-	// One digest commit covers all 64 counter bumps: the intermediate
-	// digests of the per-line sequence telescope out of the XOR roots.
-	e.commitCounters(p, ps, old, false)
-	return nil
-}
-
-// ReadPage reads a whole page; every line must verify. The counter tree
-// is walked once for the page — the per-line loop re-verified the same
-// unchanged counters 64 times — and the 64 MAC checks and decryptions
-// write straight into the returned buffer.
-func (e *Engine) ReadPage(p uint64) ([]byte, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	ps, ok := e.pages[p]
-	if !ok {
-		return nil, fmt.Errorf("mee: read of unmapped page %d", p)
-	}
-	if err := e.verifyCounters(p, ps); err != nil {
-		return nil, err
-	}
-	out := make([]byte, PageSize)
-	for line := 0; line < LinesPerPage; line++ {
-		if err := e.readLineInto(p, ps, line, out[line*LineSize:(line+1)*LineSize]); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// Major returns the major counter of page p (0 if untouched).
-func (e *Engine) Major(p uint64) uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if ps, ok := e.pages[p]; ok {
-		return ps.ctr.major
-	}
-	return 0
-}
-
-// IsReadOnly reports the protection state of page p.
-func (e *Engine) IsReadOnly(p uint64) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if ps, ok := e.pages[p]; ok {
-		return ps.readonly
-	}
-	return false
 }
 
 // --- Adversary interface (tests and attack demos) ---
@@ -512,18 +315,6 @@ func (e *Engine) TamperCiphertext(p uint64, line int) error {
 		return fmt.Errorf("mee: nothing to tamper at page %d line %d", p, line)
 	}
 	ps.ct[line*LineSize] ^= 0x80
-	return nil
-}
-
-// TamperCounter corrupts the DRAM-side counter copy of a page.
-func (e *Engine) TamperCounter(p uint64) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	ps, ok := e.pages[p]
-	if !ok {
-		return fmt.Errorf("mee: nothing to tamper at page %d", p)
-	}
-	ps.ctr.major ^= 1
 	return nil
 }
 

@@ -87,9 +87,6 @@ func (j *HashJoin) Probe(key int64) []Row {
 	return rows
 }
 
-// Size returns the number of distinct build keys.
-func (j *HashJoin) Size() int { return len(j.table) }
-
 // Agg is one aggregate bucket: running sums, counts, min/max.
 type Agg struct {
 	Count int64
@@ -131,9 +128,6 @@ func (a *Aggregator) Update(key string, vals ...float64) {
 
 // Get returns key's bucket, or nil.
 func (a *Aggregator) Get(key string) *Agg { return a.groups[key] }
-
-// Groups returns the number of distinct groups.
-func (a *Aggregator) Groups() int { return len(a.groups) }
 
 // Each visits every (key, bucket) pair in unspecified order.
 func (a *Aggregator) Each(fn func(key string, g *Agg)) {

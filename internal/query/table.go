@@ -132,19 +132,6 @@ func (t *Table) Append(r Row) {
 	t.nrows++
 }
 
-// Row materializes row i.
-func (t *Table) Row(i int) Row {
-	r := NewRow(t.Schema)
-	for c, col := range t.Schema {
-		if col.Type == Str16 {
-			r.strs[c] = t.strs[c][i]
-		} else {
-			r.ints[c] = t.ints[c][i]
-		}
-	}
-	return r
-}
-
 // Int returns column col of row i as int64.
 func (t *Table) Int(i, col int) int64 { return int64(t.ints[col][i]) }
 

@@ -1,12 +1,6 @@
 package sched
 
-import (
-	"context"
-	"sort"
-	"time"
-
-	"iceclave/internal/sim"
-)
+import "iceclave/internal/sim"
 
 // RetryPolicy is the virtual-time retry/backoff policy applied to a
 // tenant's offload when a step fails with a recoverable fault. It is a
@@ -95,73 +89,4 @@ func (bs *Breakers) Reset() {
 	for _, b := range bs.m {
 		b.Reset()
 	}
-}
-
-// Straggler reports one tenant's unfinished work at a drain deadline.
-type Straggler struct {
-	Tenant  string
-	Queued  int
-	Running int
-}
-
-// DrainTimeout stops admission and waits up to timeout for the queues
-// and workers to empty. On success it returns (nil, nil). At the
-// deadline it returns the per-tenant stragglers (sorted by tenant name)
-// and a drain error, instead of blocking forever — the caller decides
-// whether to Close hard or keep waiting. Like Drain, workers stay alive
-// and the scheduler keeps rejecting new Submits afterwards.
-func (s *Scheduler) DrainTimeout(timeout time.Duration) ([]Straggler, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	err := s.Drain(ctx)
-	if err == nil {
-		return nil, nil
-	}
-	return s.stragglers(), err
-}
-
-// Reopen returns a drained (but not Closed) scheduler to service:
-// Submit accepts work again. It is the re-admit half of the fleet
-// failover sequence — a device drained for migration or repair comes
-// back into rotation without rebuilding its scheduler and workers.
-// Reopening a Closed scheduler fails with ErrClosed.
-func (s *Scheduler) Reopen() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.stopped {
-		return ErrClosed
-	}
-	s.draining = false
-	return nil
-}
-
-// stragglers snapshots the tenants with queued or running jobs.
-func (s *Scheduler) stragglers() []Straggler {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	byTenant := make(map[string]*Straggler)
-	get := func(name string) *Straggler {
-		st, ok := byTenant[name]
-		if !ok {
-			st = &Straggler{Tenant: name}
-			byTenant[name] = st
-		}
-		return st
-	}
-	for p := range s.queues {
-		for _, j := range s.queues[p] {
-			get(j.tenant).Queued++
-		}
-	}
-	for name, ts := range s.tenants {
-		if ts.inflight > 0 {
-			get(name).Running = ts.inflight
-		}
-	}
-	out := make([]Straggler, 0, len(byTenant))
-	for _, st := range byTenant {
-		out = append(out, *st)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
-	return out
 }

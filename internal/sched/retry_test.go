@@ -1,9 +1,7 @@
 package sched
 
 import (
-	"context"
 	"testing"
-	"time"
 
 	"iceclave/internal/sim"
 )
@@ -42,66 +40,5 @@ func TestBreakersSharedByName(t *testing.T) {
 	a.Failure(11)
 	if got := bs.Trips(); got != 3 {
 		t.Fatalf("Trips() = %d, want 3", got)
-	}
-}
-
-func TestDrainTimeoutSuccess(t *testing.T) {
-	s := New(Config{Workers: 2})
-	defer s.Close(context.Background())
-	for i := 0; i < 8; i++ {
-		if _, err := s.Submit("t0", PriorityNormal, func(context.Context) error { return nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	stragglers, err := s.DrainTimeout(5 * time.Second)
-	if err != nil {
-		t.Fatalf("drain failed: %v", err)
-	}
-	if stragglers != nil {
-		t.Fatalf("stragglers on clean drain: %+v", stragglers)
-	}
-}
-
-func TestDrainTimeoutReportsStragglers(t *testing.T) {
-	s := New(Config{Workers: 1, TenantMaxInFlight: 1})
-	release := make(chan struct{})
-	defer func() {
-		close(release)
-		s.Close(context.Background())
-	}()
-	started := make(chan struct{})
-	// One job wedges the single worker; the rest queue behind it.
-	if _, err := s.Submit("slow", PriorityNormal, func(context.Context) error {
-		close(started)
-		<-release
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	<-started
-	for i := 0; i < 3; i++ {
-		if _, err := s.Submit("queued", PriorityNormal, func(context.Context) error { return nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	stragglers, err := s.DrainTimeout(50 * time.Millisecond)
-	if err == nil {
-		t.Fatal("drain of a wedged scheduler succeeded")
-	}
-	byName := map[string]Straggler{}
-	for _, st := range stragglers {
-		byName[st.Tenant] = st
-	}
-	if byName["slow"].Running != 1 {
-		t.Fatalf("slow tenant not reported running: %+v", stragglers)
-	}
-	if byName["queued"].Queued != 3 {
-		t.Fatalf("queued tenant not reported: %+v", stragglers)
-	}
-	// Sorted by tenant name.
-	for i := 1; i < len(stragglers); i++ {
-		if stragglers[i-1].Tenant > stragglers[i].Tenant {
-			t.Fatalf("stragglers not sorted: %+v", stragglers)
-		}
 	}
 }

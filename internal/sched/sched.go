@@ -428,13 +428,6 @@ func (s *Scheduler) Close(ctx context.Context) error {
 	return err
 }
 
-// Pending returns the queued (not yet running) and running job counts.
-func (s *Scheduler) Pending() (queued, running int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.queued, s.running
-}
-
 // Stats returns the scheduler-wide counters.
 func (s *Scheduler) Stats() Stats {
 	s.mu.Lock()

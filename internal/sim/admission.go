@@ -38,7 +38,6 @@ type Admission struct {
 	byKey       map[string]int
 	tickPending bool
 
-	granted   int64
 	waited    Duration
 	maxQueued int
 	queued    int
@@ -137,7 +136,6 @@ func (a *Admission) grant(t *Ticket, at Time) {
 	t.Granted = at
 	a.inUse++
 	a.byKey[t.Key]++
-	a.granted++
 	a.waited += at - t.Submitted
 	a.eng.At(at, t.fn)
 }
@@ -297,9 +295,6 @@ func (a *Admission) Pending() int { return a.queued }
 
 // Running returns the number of granted, unreleased tickets.
 func (a *Admission) Running() int { return a.inUse }
-
-// Granted returns how many tickets have been granted so far.
-func (a *Admission) Granted() int64 { return a.granted }
 
 // Waited returns the total queueing delay across granted tickets.
 func (a *Admission) Waited() Duration { return a.waited }

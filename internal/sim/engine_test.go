@@ -45,10 +45,10 @@ func TestEngineAfterChaining(t *testing.T) {
 	step = func(now Time) {
 		times = append(times, now)
 		if len(times) < 5 {
-			e.After(7, step)
+			e.At(now+7, step)
 		}
 	}
-	e.After(7, step)
+	e.At(7, step)
 	e.Run()
 	for i, at := range times {
 		if want := Time(7 * (i + 1)); at != want {
@@ -69,45 +69,6 @@ func TestEnginePastPanics(t *testing.T) {
 	e.At(5, func(Time) {})
 }
 
-func TestEngineCancel(t *testing.T) {
-	var e Engine
-	ran := false
-	ev := e.At(10, func(Time) { ran = true })
-	e.Cancel(ev)
-	e.Run()
-	if ran {
-		t.Fatal("cancelled event ran")
-	}
-	// Cancelling twice (or after running) is a no-op.
-	e.Cancel(ev)
-	ev2 := e.At(20, func(Time) {})
-	e.Run()
-	e.Cancel(ev2)
-}
-
-func TestEngineRunUntil(t *testing.T) {
-	var e Engine
-	var ran []Time
-	for _, at := range []Time{5, 10, 15, 20} {
-		at := at
-		e.At(at, func(now Time) { ran = append(ran, now) })
-	}
-	now := e.RunUntil(12)
-	if now != 12 {
-		t.Fatalf("RunUntil returned %d, want 12", now)
-	}
-	if len(ran) != 2 {
-		t.Fatalf("ran %d events before deadline, want 2", len(ran))
-	}
-	if e.Pending() != 2 {
-		t.Fatalf("pending = %d, want 2", e.Pending())
-	}
-	e.Run()
-	if len(ran) != 4 {
-		t.Fatalf("ran %d events total, want 4", len(ran))
-	}
-}
-
 func TestEngineMonotonicClockProperty(t *testing.T) {
 	// Property: regardless of the (non-negative) delays scheduled, the
 	// observed event times are non-decreasing.
@@ -116,7 +77,7 @@ func TestEngineMonotonicClockProperty(t *testing.T) {
 		var last Time = -1
 		ok := true
 		for _, d := range delays {
-			e.After(Duration(d), func(now Time) {
+			e.At(Time(d), func(now Time) {
 				if now < last {
 					ok = false
 				}
@@ -152,20 +113,5 @@ func TestEngineEventPoolAllocs(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("steady-state schedule+run allocates %.1f objects per run, want 0", allocs)
-	}
-}
-
-// TestEngineResetDropsEvents pins Engine.Reset.
-func TestEngineResetDropsEvents(t *testing.T) {
-	e := &Engine{}
-	e.At(5, func(Time) { t.Error("dropped event ran") })
-	e.Reset()
-	if e.Now() != 0 || e.Pending() != 0 || e.Processed() != 0 {
-		t.Fatalf("reset left now=%v pending=%d ran=%d", e.Now(), e.Pending(), e.Processed())
-	}
-	ran := false
-	e.At(2, func(Time) { ran = true })
-	if final := e.Run(); final != 2 || !ran {
-		t.Errorf("post-reset run: final=%v ran=%v", final, ran)
 	}
 }

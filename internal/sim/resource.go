@@ -29,9 +29,6 @@ func NewServer(name string, k int) *Server {
 // Name returns the label given at construction.
 func (s *Server) Name() string { return s.name }
 
-// Units returns the number of service units.
-func (s *Server) Units() int { return len(s.free) }
-
 // Acquire reserves the earliest-available unit for a request arriving at
 // time at with the given service duration. It returns the start and
 // completion times. Contention appears as start > at.
@@ -87,42 +84,3 @@ func (s *Server) Reset() {
 	}
 	s.busy, s.requests, s.waited = 0, 0, 0
 }
-
-// Pipe models a shared bandwidth-limited link (PCIe, the SSD internal bus).
-// Transfers serialize on the link in FIFO order; the duration of a transfer
-// is size / bandwidth.
-type Pipe struct {
-	srv   *Server
-	bps   float64
-	moved int64
-}
-
-// NewPipe returns a Pipe with the given bandwidth in bytes per second.
-func NewPipe(name string, bytesPerSec float64) *Pipe {
-	if bytesPerSec <= 0 {
-		panic("sim: NewPipe needs positive bandwidth")
-	}
-	return &Pipe{srv: NewServer(name, 1), bps: bytesPerSec}
-}
-
-// Name returns the label given at construction.
-func (p *Pipe) Name() string { return p.srv.Name() }
-
-// Bandwidth returns the link bandwidth in bytes per second.
-func (p *Pipe) Bandwidth() float64 { return p.bps }
-
-// Transfer reserves the link for n bytes arriving at time at and returns
-// the start and completion times.
-func (p *Pipe) Transfer(at Time, n int64) (start, done Time) {
-	p.moved += n
-	return p.srv.Acquire(at, DurationForBytes(n, p.bps))
-}
-
-// Moved returns the total bytes transferred.
-func (p *Pipe) Moved() int64 { return p.moved }
-
-// Busy returns the total time the link spent transferring.
-func (p *Pipe) Busy() Duration { return p.srv.Busy() }
-
-// Reset returns the pipe to idle.
-func (p *Pipe) Reset() { p.srv.Reset(); p.moved = 0 }

@@ -85,21 +85,6 @@ func TestServerInvariantsProperty(t *testing.T) {
 	}
 }
 
-func TestPipeTransfer(t *testing.T) {
-	p := NewPipe("pcie", 1e9) // 1 GB/s => 1 byte/ns
-	start, done := p.Transfer(0, 1000)
-	if start != 0 || done != 1000 {
-		t.Fatalf("transfer: start=%d done=%d, want 0/1000", start, done)
-	}
-	_, done = p.Transfer(0, 500)
-	if done != 1500 {
-		t.Fatalf("serialized transfer done=%d, want 1500", done)
-	}
-	if p.Moved() != 1500 {
-		t.Fatalf("moved = %d, want 1500", p.Moved())
-	}
-}
-
 func TestDurationForBytes(t *testing.T) {
 	if d := DurationForBytes(0, 1e9); d != 0 {
 		t.Fatalf("zero bytes should take zero time, got %d", d)

@@ -1,12 +1,12 @@
 // Package sim provides the discrete-event simulation substrate used by the
 // IceClave computational-SSD model: a virtual clock, an event queue, and
-// contended-resource primitives (servers and bandwidth pipes).
+// contended-resource servers.
 //
 // The package is deliberately free of goroutines; all simulated concurrency
 // is expressed through virtual time so that runs are deterministic and
 // reproducible.
 //
-// Concurrency contract: Engine, Server, Pipe, and RNG are not safe for
+// Concurrency contract: Engine, Server, and RNG are not safe for
 // concurrent use — a simulation instance lives on one goroutine, which is
 // what makes runs reproducible. Time and Duration are plain values; code
 // that shares them across goroutines (e.g. the tee.Runtime clock)
@@ -35,17 +35,11 @@ const (
 	Second      Duration = 1000 * 1000 * 1000
 )
 
-// FromStdDuration converts a time.Duration to a simulated Duration.
-func FromStdDuration(d time.Duration) Duration { return Duration(d.Nanoseconds()) }
-
 // Std converts a simulated duration to a time.Duration for display.
 func (t Time) Std() time.Duration { return time.Duration(t) * time.Nanosecond }
 
 // Seconds reports the time as floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
-
-// Micros reports the time as floating-point microseconds.
-func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 
 // String formats the time using time.Duration notation (e.g. "50µs").
 func (t Time) String() string { return t.Std().String() }
@@ -56,14 +50,6 @@ const MaxTime Time = 1<<63 - 1
 // Max returns the later of a and b.
 func Max(a, b Time) Time {
 	if a > b {
-		return a
-	}
-	return b
-}
-
-// Min returns the earlier of a and b.
-func Min(a, b Time) Time {
-	if a < b {
 		return a
 	}
 	return b

@@ -10,47 +10,40 @@ import (
 
 // TestTeardownMatchesSweepOracle checks that releasing a dead TEE's
 // owned-LPA list clears exactly what a sweep of the whole mapping table
-// for its ID would. A seeded random lifecycle — creations in ClaimID and
-// AllowSharedLPAs modes, creations rejected and rolled back, WritePage
-// adoptions, cross-TEE throw-outs, host throw-outs, and terminations
+// for its ID would. A seeded random lifecycle — creations, creations
+// rejected and rolled back, WritePage adoptions, cross-TEE throw-outs,
+// host throw-outs, and terminations
 // deferred behind an in-flight operation — runs against a model of the
 // ID bits that clears every entry carrying a reclaimed ID. After every
 // step a full sweep of the table must equal the model, and no entry may
 // carry an ID that no live TEE holds.
 func TestTeardownMatchesSweepOracle(t *testing.T) {
-	for _, shared := range []bool{false, true} {
-		name := "claim"
-		if shared {
-			name = "shared"
+	t.Run("claim", func(t *testing.T) {
+		rt, f := testRuntime(t)
+		writePages(t, f, lifecycleLPAs, 0x40)
+		o := &lifecycleOracle{t: t, rt: rt, f: f, owner: map[ftl.LPA]ftl.TEEID{}, seen: map[string]int{}}
+		rng := sim.NewRNG(42)
+		for step := 0; step < 1500; step++ {
+			o.step(rng)
+			o.check(step)
 		}
-		t.Run(name, func(t *testing.T) {
-			rt, f := testRuntime(t)
-			rt.sharedLPAs = shared
-			writePages(t, f, lifecycleLPAs, 0x40)
-			o := &lifecycleOracle{t: t, rt: rt, f: f, owner: map[ftl.LPA]ftl.TEEID{}, seen: map[string]int{}}
-			rng := sim.NewRNG(42)
-			for step := 0; step < 1500; step++ {
-				o.step(rng)
-				o.check(step)
+		for len(o.pending) > 0 {
+			o.endDeferred(0)
+		}
+		for len(o.live) > 0 {
+			o.terminate(0)
+		}
+		o.check(-1)
+		if n := rt.Live(); n != 0 {
+			t.Fatalf("%d TEEs live after draining", n)
+		}
+		for _, ev := range []string{"created", "rejected-owned", "rolled-back", "no-free-id",
+			"adopted", "cross-throw-out", "deferred"} {
+			if o.seen[ev] == 0 {
+				t.Errorf("the lifecycle never exercised %q: %v", ev, o.seen)
 			}
-			for len(o.pending) > 0 {
-				o.endDeferred(0)
-			}
-			for len(o.live) > 0 {
-				o.terminate(0)
-			}
-			o.check(-1)
-			if n := rt.Live(); n != 0 {
-				t.Fatalf("%d TEEs live after draining", n)
-			}
-			for _, ev := range []string{"created", "rejected-owned", "rolled-back", "no-free-id",
-				"adopted", "cross-throw-out", "deferred"} {
-				if o.seen[ev] == 0 && (ev != "rejected-owned" || !shared) {
-					t.Errorf("the lifecycle never exercised %q: %v", ev, o.seen)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // lifecycleLPAs is the oracle's page universe: small enough that random
@@ -98,8 +91,8 @@ func (o *lifecycleOracle) step(rng *sim.RNG) {
 }
 
 // create requests 1–4 random LPAs, sometimes with an out-of-range one
-// that fails the creation part-way in either mode, and predicts the
-// outcome: the ID allocated, the stamps applied, or the rollback.
+// that fails the creation part-way, and predicts the outcome: the ID
+// allocated, the stamps applied, or the rollback.
 func (o *lifecycleOracle) create(rng *sim.RNG) {
 	lpas := make([]ftl.LPA, 1+rng.Intn(4))
 	for i := range lpas {
@@ -129,7 +122,7 @@ func (o *lifecycleOracle) create(rng *sim.RNG) {
 			stamped = i
 			break
 		}
-		if cur := o.owner[l]; !o.rt.sharedLPAs && cur != ftl.IDNone && cur != id {
+		if cur := o.owner[l]; cur != ftl.IDNone && cur != id {
 			stamped, owned = i, true
 			break
 		}

@@ -103,10 +103,9 @@ const DefaultHeapBytes = 16 << 20
 var ErrNoFreeID = errors.New("tee: no free TEE ID")
 
 // ErrLPAOwned is returned by CreateTEE when a requested LPA is already
-// owned by a live TEE. The seed re-stamped such entries, silently moving
-// pages between tenants; creation now rejects the request so a host bug
-// (or a malicious co-tenant racing CreateTEE) cannot transfer ownership
-// of live data. Options.AllowSharedLPAs restores the seed semantics.
+// owned by a live TEE. Creation rejects the request rather than
+// re-stamping the entry, so a host bug (or a malicious co-tenant racing
+// CreateTEE) cannot transfer ownership of live data.
 var ErrLPAOwned = errors.New("tee: LPA already owned by a live TEE")
 
 // ErrTooLarge is returned when the binary does not fit available memory.
@@ -154,12 +153,6 @@ func (t *TEE) State() State {
 	defer t.mu.Unlock()
 	return t.state
 }
-
-// HeapBase returns the base address of the preallocated region.
-func (t *TEE) HeapBase() uint64 { return t.heapBase }
-
-// HeapSize returns the preallocated region size.
-func (t *TEE) HeapSize() uint64 { return t.heapSize }
 
 // Result returns the output copied out at termination.
 func (t *TEE) Result() []byte {
@@ -275,14 +268,13 @@ type span struct{ base, size uint64 }
 // Runtime is the IceClave runtime: it lives in the secure world and
 // manages TEEs, the protected-region mapping cache, and the cipher engine.
 type Runtime struct {
-	ftl        *ftl.FTL
-	cipher     *trivium.Engine
-	mem        *mee.Engine
-	space      *trustzone.AddressSpace
-	monitor    *trustzone.Monitor
-	cmt        *ftl.MappingCache
-	costs      Costs
-	sharedLPAs bool
+	ftl     *ftl.FTL
+	cipher  *trivium.Engine
+	mem     *mee.Engine
+	space   *trustzone.AddressSpace
+	monitor *trustzone.Monitor
+	cmt     *ftl.MappingCache
+	costs   Costs
 
 	mu       sync.Mutex
 	now      sim.Time
@@ -323,20 +315,21 @@ const (
 
 // Options configures runtime construction.
 type Options struct {
-	Costs     Costs
-	CipherKey []byte // 10-byte Trivium key; a fixed default is used if nil
-	DRAMBytes uint64 // controller DRAM capacity (default 4 GB)
+	Costs Costs
+	// CipherKey is the trivium.KeySize-byte bus key; a fixed default is
+	// used if nil.
+	CipherKey []byte
+	// DRAMBytes is the controller DRAM capacity (default 4 GB). It must
+	// exceed the 128 MB of secure and protected regions; the rest holds
+	// the TEE heaps.
+	DRAMBytes uint64
 	CMTBytes  uint64 // cached-mapping-table capacity (default 32 MB)
-	// AllowSharedLPAs restores the seed's CreateTEE semantics, where the
-	// ID bits of an LPA owned by a live TEE are silently re-stamped to
-	// the new TEE. The default (false) rejects such creations with
-	// ErrLPAOwned; see that error for the rationale.
-	AllowSharedLPAs bool
 }
 
 // NewRuntime builds a runtime over an FTL. The memory map places the
 // runtime and FTL in the secure region, the mapping table cache in the
-// protected region, and TEE heaps in the normal region.
+// protected region, and TEE heaps in the normal region. It rejects a
+// cipher key of the wrong length and a DRAM too small to hold a heap.
 func NewRuntime(f *ftl.FTL, opts Options) (*Runtime, error) {
 	if opts.Costs == (Costs{}) {
 		opts.Costs = DefaultCosts()
@@ -344,8 +337,14 @@ func NewRuntime(f *ftl.FTL, opts Options) (*Runtime, error) {
 	if opts.CipherKey == nil {
 		opts.CipherKey = []byte("iceclave-k")
 	}
+	if len(opts.CipherKey) != trivium.KeySize {
+		return nil, fmt.Errorf("tee: cipher key is %d bytes, want %d", len(opts.CipherKey), trivium.KeySize)
+	}
 	if opts.DRAMBytes == 0 {
 		opts.DRAMBytes = 4 << 30
+	}
+	if opts.DRAMBytes <= normalBase {
+		return nil, fmt.Errorf("tee: %d bytes of DRAM leave no TEE heap above the %d-byte secure and protected regions", opts.DRAMBytes, normalBase)
 	}
 	if opts.CMTBytes == 0 {
 		opts.CMTBytes = 32 << 20
@@ -366,17 +365,16 @@ func NewRuntime(f *ftl.FTL, opts Options) (*Runtime, error) {
 	copy(aesKey[:], "iceclave-mee-aes")
 	copy(macKey[:], "iceclave-mee-mac")
 	rt := &Runtime{
-		ftl:        f,
-		cipher:     trivium.NewEngine(opts.CipherKey, 0x1CEC1A7E0001),
-		mem:        mee.NewEngine(aesKey, macKey),
-		space:      space,
-		monitor:    trustzone.NewMonitor(opts.Costs.WorldSwitch),
-		cmt:        ftl.NewMappingCache(opts.CMTBytes, uint64(f.Device().Geometry().PageSize)),
-		costs:      opts.Costs,
-		sharedLPAs: opts.AllowSharedLPAs,
-		tees:       make(map[ftl.TEEID]*TEE),
-		freeHeap:   []span{{base: normalBase, size: opts.DRAMBytes - normalBase}},
-		heapFree:   opts.DRAMBytes - normalBase,
+		ftl:      f,
+		cipher:   trivium.NewEngine(opts.CipherKey, 0x1CEC1A7E0001),
+		mem:      mee.NewEngine(aesKey, macKey),
+		space:    space,
+		monitor:  trustzone.NewMonitor(opts.Costs.WorldSwitch),
+		cmt:      ftl.NewMappingCache(opts.CMTBytes, uint64(f.Device().Geometry().PageSize)),
+		costs:    opts.Costs,
+		tees:     make(map[ftl.TEEID]*TEE),
+		freeHeap: []span{{base: normalBase, size: opts.DRAMBytes - normalBase}},
+		heapFree: opts.DRAMBytes - normalBase,
 	}
 	pageSize := int(f.Device().Geometry().PageSize)
 	rt.pageScratch.New = func() any {
@@ -405,9 +403,6 @@ func (r *Runtime) Stats() Stats {
 	defer r.mu.Unlock()
 	return r.stats
 }
-
-// AddressSpace exposes the region table for permission demonstrations.
-func (r *Runtime) AddressSpace() *trustzone.AddressSpace { return r.space }
 
 // Memory exposes the MEE-protected DRAM engine.
 func (r *Runtime) Memory() *mee.Engine { return r.mem }
@@ -525,8 +520,7 @@ func (r *Runtime) releaseHeap(base, size uint64) {
 // Ownership is enforced at stamping time: an LPA whose entry already
 // carries a live TEE's ID bits fails the creation with ErrLPAOwned
 // (atomically per entry, via the FTL's claim path), and everything the
-// partial creation stamped is rolled back. Options.AllowSharedLPAs keeps
-// the seed's silent re-stamping for callers that depend on it.
+// partial creation stamped is rolled back.
 func (r *Runtime) CreateTEE(cfg Config) (*TEE, error) {
 	if cfg.HeapBytes == 0 {
 		cfg.HeapBytes = DefaultHeapBytes
@@ -549,16 +543,11 @@ func (r *Runtime) CreateTEE(cfg Config) (*TEE, error) {
 		return nil, fmt.Errorf("%w: no room for %d-byte heap", ErrTooLarge, cfg.HeapBytes)
 	}
 	// SetIDBits: stamp ownership into the mapping table. The rollback
-	// releases only the prefix this call stamped, cfg.LPAs[:i]. Under
-	// ClaimID that prefix held no other owner, so a rejected creation
-	// leaves every prior owner's bits intact; under AllowSharedLPAs a
-	// re-stamped prefix entry reverts to IDNone, not to its prior owner.
-	stamp := r.ftl.ClaimID
-	if r.sharedLPAs {
-		stamp = r.ftl.SetID
-	}
+	// releases only the prefix this call stamped, cfg.LPAs[:i]; that
+	// prefix held no other owner, so a rejected creation leaves every
+	// prior owner's bits intact.
 	for i, l := range cfg.LPAs {
-		err := stamp(l, id)
+		err := r.ftl.ClaimID(l, id)
 		if errors.Is(err, ftl.ErrOwned) {
 			err = fmt.Errorf("%w: LPA %d", ErrLPAOwned, l)
 		}

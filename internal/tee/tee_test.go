@@ -19,7 +19,7 @@ func testRuntime(t *testing.T) (*Runtime, *ftl.FTL) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := ftl.New(dev, ftl.Config{})
+	f := ftl.New(dev)
 	rt, err := NewRuntime(f, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -208,36 +208,6 @@ func TestCreateRejectionRollsBackStamps(t *testing.T) {
 		if id, _ := f.IDOf(l); id != ftl.IDNone {
 			t.Fatalf("LPA %d still stamped with %d after rollback", l, id)
 		}
-	}
-}
-
-// TestAllowSharedLPAsCompat pins the compatibility flag: with
-// AllowSharedLPAs the seed semantics return — creation re-stamps entries
-// a live TEE owns, transferring them to the new TEE.
-func TestAllowSharedLPAsCompat(t *testing.T) {
-	geo := flash.Geometry{
-		Channels: 2, ChipsPerChannel: 1, DiesPerChip: 1, PlanesPerDie: 1,
-		BlocksPerPlane: 32, PagesPerBlock: 16, PageSize: 4096,
-	}
-	dev, err := flash.NewDevice(geo, flash.DefaultTiming())
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := ftl.New(dev, ftl.Config{})
-	rt, err := NewRuntime(f, Options{AllowSharedLPAs: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lpas := writePages(t, f, 1, 0xA0)
-	if _, err := rt.CreateTEE(Config{Binary: []byte{1}, LPAs: lpas}); err != nil {
-		t.Fatal(err)
-	}
-	second, err := rt.CreateTEE(Config{Binary: []byte{1}, LPAs: lpas})
-	if err != nil {
-		t.Fatalf("shared-LPA creation failed under compat flag: %v", err)
-	}
-	if id, _ := f.IDOf(lpas[0]); id != second.EID() {
-		t.Fatalf("entry owned by %d, want re-stamped to %d", id, second.EID())
 	}
 }
 

@@ -144,36 +144,6 @@ func (s *Schedule) Span() sim.Duration {
 	return s.Submissions[len(s.Submissions)-1].At
 }
 
-// BandCounts returns how many submissions land in each priority band
-// (index 0 = low .. 2 = high).
-func (s *Schedule) BandCounts() [3]int {
-	var out [3]int
-	for _, sub := range s.Submissions {
-		if sub.Band >= 0 && sub.Band < len(out) {
-			out[sub.Band]++
-		}
-	}
-	return out
-}
-
-// Compressed returns a copy of the schedule with the arrival span
-// linearly rescaled onto [0, span] — real traces cover hours or weeks,
-// and compression maps that burst structure onto the device's millisecond
-// timescale. Relative arrival order is preserved exactly; a schedule with
-// zero span (or a non-positive target) is returned as a plain copy.
-func (s *Schedule) Compressed(span sim.Duration) *Schedule {
-	out := &Schedule{Submissions: append([]Submission(nil), s.Submissions...)}
-	last := s.Span()
-	if last <= 0 || span <= 0 {
-		return out
-	}
-	scale := float64(span) / float64(last)
-	for i := range out.Submissions {
-		out.Submissions[i].At = sim.Time(float64(out.Submissions[i].At) * scale)
-	}
-	return out
-}
-
 // ErrUnknownFormat reports a header line that matches no known trace
 // schema; Read wraps it with the offending header.
 var ErrUnknownFormat = errors.New("trace: unrecognized trace header")

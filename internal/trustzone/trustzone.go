@@ -149,13 +149,6 @@ func (as *AddressSpace) AddRegion(r Region) error {
 	return nil
 }
 
-// Regions returns the registered regions in base order.
-func (as *AddressSpace) Regions() []Region {
-	out := make([]Region, len(as.regions))
-	copy(out, as.regions)
-	return out
-}
-
 // RegionAt returns the region containing addr.
 func (as *AddressSpace) RegionAt(addr uint64) (Region, bool) {
 	i := sort.Search(len(as.regions), func(i int) bool { return as.regions[i].End() > addr })
@@ -210,9 +203,6 @@ func (m *Monitor) World() World { return m.world }
 
 // Switches returns how many world switches have occurred.
 func (m *Monitor) Switches() int64 { return m.switches }
-
-// SwitchCost returns the configured per-switch cost.
-func (m *Monitor) SwitchCost() sim.Duration { return m.switchCost }
 
 // SwitchTo moves the processor to world w, returning the time after the
 // switch completes. Switching to the current world is free.
