@@ -3,7 +3,7 @@ GO ?= go
 # BASE is the commit bench-compare measures the working tree against.
 BASE ?= HEAD
 
-.PHONY: all build fmt-check vet test race bench-test ci bench-compare fuzz profile reach
+.PHONY: all build fmt-check vet test race bench-test ci bench-compare fuzz profile reach loc
 
 all: build
 
@@ -23,8 +23,9 @@ test:
 	$(GO) test ./...
 
 # race runs every test under the race detector, each layer's named
-# contracts included (channel sharding, trace replay, fault recovery, the
-# fleet). To rerun one layer alone, select it by name, e.g.
+# contracts included (the FTL's one lock under concurrent tenants, trace
+# replay, fault recovery, the fleet). To rerun one layer alone, select it
+# by name, e.g.
 # go test -race -count 1 -v -run 'Fault|Breaker|Retry' ./internal/...
 race:
 	$(GO) test -race ./...
@@ -38,9 +39,9 @@ bench-test:
 
 # ci is the gate future PRs must keep green: gofmt-clean tree, clean
 # build, clean vet, the benchmark harness's tests, and the full test
-# suite (including the 32-tenant offload stress, the FTL
-# stripe-contention tests, the Trivium differential suite and the
-# cipher and MEE speedup floors) under the race detector.
+# suite (including the 32-tenant offload stress, the FTL's concurrent
+# tenant tests with their invariant checks, the Trivium differential
+# suite and the cipher and MEE speedup floors) under the race detector.
 ci: fmt-check build vet bench-test race
 
 # profile grounds hot-path claims in data. It records a CPU pprof of one
@@ -121,3 +122,13 @@ reach:
 	@cd bench && GOFLAGS= GOPROXY=off GOTOOLCHAIN=local $(GO) build -gcflags=all=-l -o ../out/reach/bench .
 	@$(GO) tool nm out/reach/bench > out/reach/bench.nm
 	@$(GO) run tools/reach.go $(foreach p,$(REACH_MAINS),$(p)=out/reach/$(notdir $(p)).nm) bench=out/reach/bench.nm
+
+# loc prints the Go line counts a change reports next to its perf
+# numbers: non-test lines outside bench/ and tools/, non-test lines in
+# bench/, and test lines outside bench/. It counts tracked files (git
+# ls-files), so git add new files first. Not part of ci: it is a survey,
+# not a gate.
+loc:
+	@echo "$$(git ls-files '*.go' | grep -v _test.go | grep -v '^bench/' | grep -v '^tools/' | xargs cat | wc -l) non-test Go lines outside bench/ and tools/"
+	@echo "$$(git ls-files 'bench/*.go' | grep -v _test.go | xargs cat | wc -l) non-test Go lines in bench/"
+	@echo "$$(git ls-files '*_test.go' | grep -v '^bench/' | xargs cat | wc -l) test Go lines outside bench/"

@@ -64,14 +64,14 @@ func TestSentinelDieDeadAndDeviceFullReachable(t *testing.T) {
 		t.Fatal(err)
 	}
 	ssd := openWithPlan(t, allDiesDead(t, probe))
-	// Every program lands on a dead die; the FTL kills dies and re-stages
+	// Every program lands on a dead die; the FTL kills dies and retries
 	// until its retry budget surfaces ErrDieDead.
 	werr := ssd.HostWrite(0, []byte("x"))
 	if !errors.Is(werr, flash.ErrDieDead) {
 		t.Fatalf("HostWrite = %v, want errors.Is ErrDieDead", werr)
 	}
 	// Keep writing: once the channel has no live die left, the allocator
-	// has nowhere to stage and the failure becomes ErrDeviceFull.
+	// has no free page and the failure becomes ErrDeviceFull.
 	for i := 0; i < 100; i++ {
 		werr = ssd.HostWrite(0, []byte("x"))
 		if errors.Is(werr, ftl.ErrDeviceFull) {

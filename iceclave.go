@@ -18,14 +18,13 @@
 // The SSD is safe for concurrent use: many tenants can OffloadCode,
 // execute, and Finish from their own goroutines, and isolation holds
 // mid-flight — a cross-TEE access still fails and aborts the offender
-// while its neighbours keep running. Tenants pinned to different flash
-// channels proceed without sharing a lock (the FTL uses per-channel
-// allocator shards plus a striped mapping table; ARCHITECTURE.md draws
-// the full hierarchy), and the encrypted data path runs the word-parallel
-// Trivium engine at hundreds of MB/s per core. internal/sched provides
-// the admission-controlled worker pool (per-tenant in-flight caps,
-// priority bands, graceful drain) that production multi-tenant
-// deployments put in front of Execute.
+// while its neighbours keep running. The FTL serializes its mapping
+// table and the flash device behind one mutex (ARCHITECTURE.md draws the
+// full hierarchy); the encrypted data path runs outside it, on the
+// word-parallel Trivium engine at hundreds of MB/s per core.
+// internal/sched provides the admission-controlled worker pool
+// (per-tenant in-flight caps, priority bands, graceful drain) that
+// production multi-tenant deployments put in front of Execute.
 package iceclave
 
 import (
@@ -55,7 +54,7 @@ type Options struct {
 	// Faults surface from the public API as wrapped sentinels —
 	// flash.ErrTransientRead, flash.ErrProgramFail, flash.ErrDieDead,
 	// tee.ErrIntegrity — so callers dispatch with errors.Is. The FTL's own
-	// recovery (bounded read retries, bad-block retirement and re-staging)
+	// recovery (bounded read retries, bad-block retirement and retry)
 	// runs underneath, so only faults that exhaust it are visible here. A
 	// nil or all-zero plan leaves the SSD fault-free. Plans scripting die
 	// deaths outside the device geometry are rejected by Open with a

@@ -3,6 +3,7 @@ package iceclave
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -133,5 +134,39 @@ func TestOpenRejectsDRAMWithoutHeap(t *testing.T) {
 	}
 	if _, err := Open(Options{Channels: 2, BlocksPerPlane: 8, DRAMBytes: 129 << 20}); err != nil {
 		t.Fatalf("Open with 129 MB of DRAM: %v", err)
+	}
+}
+
+// TestFillAndRewriteEveryLogicalPage pins that every logical page Open
+// reports is writable and stays rewritable: each geometry takes a write
+// to every LPA, then three full rewrite rounds that keep GC reclaiming
+// while every die's free pool runs dry. An empty pool with no GC victim
+// is not a full device: on {1 channel, 1 block per plane} the pools run
+// dry at LPA 1,040 of 1,792, and on {3, 2} at 9,264 of 10,752, while
+// the dies' active blocks still have free pages. {2, 8} is the
+// benchmark harness's offload device.
+func TestFillAndRewriteEveryLogicalPage(t *testing.T) {
+	for _, g := range []struct{ channels, blocksPerPlane int }{{1, 1}, {3, 2}, {2, 8}} {
+		t.Run(fmt.Sprintf("%dch-%dblk", g.channels, g.blocksPerPlane), func(t *testing.T) {
+			ssd, err := Open(Options{Channels: g.channels, BlocksPerPlane: g.blocksPerPlane})
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := ssd.LogicalPages()
+			const rounds = 4 // the fill, then three rewrites
+			for r := byte(0); r < rounds; r++ {
+				for lpa := uint32(0); int64(lpa) < n; lpa++ {
+					if err := ssd.HostWrite(lpa, []byte{r}); err != nil {
+						t.Fatalf("round %d: LPA %d of %d: %v", r, lpa, n, err)
+					}
+				}
+			}
+			for lpa := uint32(0); int64(lpa) < n; lpa += 61 {
+				got, err := ssd.HostRead(lpa)
+				if err != nil || got[0] != rounds-1 {
+					t.Fatalf("LPA %d after the last round: %v, %v", lpa, got, err)
+				}
+			}
+		})
 	}
 }

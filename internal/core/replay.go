@@ -644,7 +644,7 @@ func (t *tenant) consumeRead() error {
 
 // writePhase performs a buffered page write: the program continues while
 // the flash program completes in the background. A write fault (the FTL
-// already exhausted its own bad-block re-staging before surfacing one)
+// already exhausted its own bad-block retries before surfacing one)
 // is returned for step-level retry; the retry re-runs the whole phase.
 func (t *tenant) writePhase(st workload.Step, lpa ftl.LPA) error {
 	if t.mode.InStorage() {

@@ -3,7 +3,6 @@ package flash
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"iceclave/internal/sim"
@@ -26,11 +25,11 @@ var (
 // Injector is the fault-injection seam. The device consults it before
 // performing each read/program/erase, passing the arrival time, the
 // channel and channel-local die of the target, and the per-channel
-// ordinal n of this operation kind (0, 1, 2, ... in channel-lock
-// acquisition order — deterministic on the replay path, where all
-// device calls for a channel execute in (time, seq) order). A non-nil
-// error aborts the operation; the device wraps it with the page/block
-// context and charges the appropriate partial timing.
+// ordinal n of this operation kind (0, 1, 2, ... in call order —
+// deterministic on the replay path, where all device calls for a channel
+// execute in (time, seq) order). A non-nil error aborts the operation;
+// the device wraps it with the page/block context and charges the
+// appropriate partial timing.
 //
 // Implementations must be pure functions of their arguments (no mutable
 // state) so that injection is reproducible across worker counts;
@@ -95,11 +94,10 @@ type Stats struct {
 	ProgramFaults int64
 }
 
-// counters is the internal, atomically updated form of Stats: hot-path
-// accounting never extends a channel's critical section, and readers never
-// take any lock (each counter is individually atomic and monotonic; the
-// snapshot is not a cross-counter barrier — the same contract as
-// ftl.Stats).
+// counters is the internal, atomically updated form of Stats, so Snapshot
+// is safe while the device's owner keeps operating it (each counter is
+// individually atomic and monotonic; the snapshot is not a cross-counter
+// barrier).
 type counters struct {
 	reads         atomic.Int64
 	programs      atomic.Int64
@@ -110,15 +108,11 @@ type counters struct {
 	programFaults atomic.Int64
 }
 
-// channelState is one channel's functional and timing shard: the page
+// channelState is one channel's functional and timing state: the page
 // states, erase counts, and payloads of the channel's contiguous PPA
-// range, plus the channel's die command units and bus server, all under
-// the channel's own lock. Operations on different channels share no lock
-// and no sim.Server, so a many-channel write storm from N concurrent
-// tenants scales with cores instead of serializing on a device-wide
-// mutex.
+// range, plus the channel's die command units and bus server. Operations
+// on different channels touch disjoint state and no common sim.Server.
 type channelState struct {
-	mu         sync.Mutex
 	state      []PageState    // channel-local page index
 	eraseCount []int32        // channel-local block index
 	valid      []int32        // channel-local block index: PageValid pages
@@ -133,9 +127,9 @@ type channelState struct {
 	touchedList []int64
 
 	// faultOps counts this channel's operations per kind, feeding the
-	// injector's ordinal argument. Guarded by cs.mu; zeroed when the
-	// injector is (re)attached and on Reset, so a given plan sees the
-	// same ordinals on fresh and pooled stacks.
+	// injector's ordinal argument. Zeroed when the injector is
+	// (re)attached and on Reset, so a given plan sees the same ordinals on
+	// fresh and pooled stacks.
 	faultOps [numFaultOps]uint64
 
 	dies  []*sim.Server // array reads, one unit per die
@@ -150,16 +144,11 @@ type channelState struct {
 // All operations take an arrival time and return a completion time, so
 // callers compose the device into larger discrete-event simulations.
 //
-// Device is safe for concurrent use and its state is sharded by channel:
-// each operation resolves its channel from the PPA (or BlockID) and takes
-// only that channel's lock, so N in-storage TEEs pinned to different
-// channels issue commands with no mutual exclusion between them at all
-// (TestCrossChannelNoSharedLock pins this, mirroring the FTL's
-// cross-channel contract). Virtual-time ordering under concurrency
-// follows lock-acquisition order within a channel; operations on
-// different channels touch disjoint simulated resources (dies, buses,
-// pages) and are causally independent. Stats are atomic counters read
-// through Snapshot without any lock.
+// Device has no lock: its owner serializes every call (the FTL holds its
+// mutex across each one; a replay owns its whole pooled stack), and
+// virtual-time reservations on a channel's servers follow call order.
+// Snapshot is the exception: stats are atomic counters, so Snapshot is
+// safe while the owner keeps operating the device.
 type Device struct {
 	geo    Geometry
 	timing Timing
@@ -174,8 +163,6 @@ type Device struct {
 
 	// inj is the optional fault-injection seam; nil means every
 	// operation succeeds (the default, and the bit-identical baseline).
-	// Written only by SetInjector on a quiesced device, read on the
-	// operation paths under the channel lock acquired after the write.
 	inj Injector
 
 	stats counters
@@ -227,19 +214,17 @@ func (d *Device) Timing() Timing { return d.timing }
 // SetInjector attaches (or, with nil, detaches) the fault-injection
 // seam and rewinds every channel's fault ordinals to zero, so the same
 // injector replays the same fault sequence on a pooled stack as on a
-// fresh one. Like Reset, it must only be called on a quiesced device.
+// fresh one.
 func (d *Device) SetInjector(inj Injector) {
 	for ch := range d.chans {
-		cs := &d.chans[ch]
-		cs.mu.Lock()
-		cs.faultOps = [numFaultOps]uint64{}
-		cs.mu.Unlock()
+		d.chans[ch].faultOps = [numFaultOps]uint64{}
 	}
 	d.inj = inj
 }
 
-// Snapshot returns the activity counters. It is the only stats accessor:
-// lock-free, safe against concurrent operations on any channel.
+// Snapshot returns the activity counters. It is the only stats accessor,
+// and unlike the operations it is safe to call while the owner operates
+// the device.
 func (d *Device) Snapshot() Stats {
 	return Stats{
 		Reads:         d.stats.reads.Load(),
@@ -253,7 +238,7 @@ func (d *Device) Snapshot() Stats {
 }
 
 // markTouched records that block lb's page states or erase count have
-// diverged from fresh. Caller holds cs.mu.
+// diverged from fresh.
 func (cs *channelState) markTouched(lb int64) {
 	if !cs.touched[lb] {
 		cs.touched[lb] = true
@@ -261,13 +246,13 @@ func (cs *channelState) markTouched(lb int64) {
 	}
 }
 
-// shardOf resolves p's channel shard and channel-local page index.
-func (d *Device) shardOf(p PPA) (*channelState, int64) {
+// channelOf resolves p's channel state and channel-local page index.
+func (d *Device) channelOf(p PPA) (*channelState, int64) {
 	return &d.chans[int64(p)/d.pagesPerChannel], int64(p) % d.pagesPerChannel
 }
 
-// blockShard resolves b's channel shard and channel-local block index.
-func (d *Device) blockShard(b BlockID) (*channelState, int64) {
+// blockChannel resolves b's channel state and channel-local block index.
+func (d *Device) blockChannel(b BlockID) (*channelState, int64) {
 	return &d.chans[int64(b)/d.blocksPerChannel], int64(b) % d.blocksPerChannel
 }
 
@@ -281,22 +266,17 @@ func (d *Device) localDie(lp int64) int {
 
 // State returns the lifecycle state of page p.
 func (d *Device) State(p PPA) PageState {
-	cs, lp := d.shardOf(p)
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
+	cs, lp := d.channelOf(p)
 	return cs.state[lp]
 }
 
 // ChannelWear copies channel ch's per-block erase counts and valid-page
-// counts into erase and valid under one acquisition of the channel lock,
-// so a wear-aware scan of a channel costs one lock pair, not one per
-// block. Both slices are indexed by channel-local block (block
-// ch*BlocksPerChannel+i lands at index i) and should hold
-// BlocksPerChannel entries; a nil slice is skipped.
+// counts into erase and valid with one call, so a wear-aware scan of a
+// channel costs one call, not one per block. Both slices are indexed by
+// channel-local block (block ch*BlocksPerChannel+i lands at index i) and
+// should hold BlocksPerChannel entries; a nil slice is skipped.
 func (d *Device) ChannelWear(ch int, erase, valid []int32) {
 	cs := &d.chans[ch]
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
 	copy(erase, cs.eraseCount)
 	copy(valid, cs.valid)
 }
@@ -333,9 +313,7 @@ func (d *Device) Read(at sim.Time, p PPA) (done sim.Time, data []byte, err error
 	if err := d.checkPPA(p); err != nil {
 		return at, nil, err
 	}
-	cs, lp := d.shardOf(p)
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
+	cs, lp := d.channelOf(p)
 	if cs.state[lp] == PageFree {
 		return at, nil, fmt.Errorf("flash: read of free page %d", p)
 	}
@@ -367,9 +345,7 @@ func (d *Device) Program(at sim.Time, p PPA, data []byte) (done sim.Time, err er
 	if err := d.checkPPA(p); err != nil {
 		return at, err
 	}
-	cs, lp := d.shardOf(p)
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
+	cs, lp := d.channelOf(p)
 	if cs.state[lp] != PageFree {
 		return at, fmt.Errorf("flash: program of non-free page %d (state %d)", p, cs.state[lp])
 	}
@@ -412,9 +388,7 @@ func (d *Device) Invalidate(p PPA) error {
 	if err := d.checkPPA(p); err != nil {
 		return err
 	}
-	cs, lp := d.shardOf(p)
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
+	cs, lp := d.channelOf(p)
 	if cs.state[lp] != PageValid {
 		return fmt.Errorf("flash: invalidate of non-valid page %d (state %d)", p, cs.state[lp])
 	}
@@ -431,14 +405,12 @@ func (d *Device) Erase(at sim.Time, b BlockID) (done sim.Time, err error) {
 	if int64(b) >= d.geo.TotalBlocks() {
 		return at, fmt.Errorf("flash: block %d out of range", b)
 	}
-	cs, lb := d.blockShard(b)
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
+	cs, lb := d.blockChannel(b)
 	if n := cs.valid[lb]; n > 0 {
 		return at, fmt.Errorf("flash: erase of block %d with %d valid pages", b, n)
 	}
 	first := d.geo.FirstPage(b)
-	_, lfirst := d.shardOf(first)
+	_, lfirst := d.channelOf(first)
 	if d.inj != nil {
 		n := cs.faultOps[faultOpErase]
 		cs.faultOps[faultOpErase]++
@@ -465,14 +437,9 @@ func (d *Device) InternalBandwidth() float64 {
 
 // ResetTiming clears the timing reservations and stats while keeping page
 // contents, letting one populated device serve several timing experiments.
-// It locks one channel at a time; quiesce concurrent operations first if a
-// cross-channel consistent reset matters.
 func (d *Device) ResetTiming() {
 	for ch := range d.chans {
-		cs := &d.chans[ch]
-		cs.mu.Lock()
-		cs.resetTiming()
-		cs.mu.Unlock()
+		d.chans[ch].resetTiming()
 	}
 	d.resetStats()
 }
@@ -481,13 +448,10 @@ func (d *Device) ResetTiming() {
 // every erase and valid-page count zero, no payloads, idle servers, zero
 // stats. The cost is proportional to the blocks actually touched since
 // construction (or the last Reset), not to the geometry — the
-// reuse-aware half of the pool reset contract. Like ResetTiming it locks one channel at a time, so the
-// caller must quiesce concurrent operations first; on the replay path the
-// pool's exclusive resource handoff guarantees that.
+// reuse-aware half of the pool reset contract.
 func (d *Device) Reset() {
 	for ch := range d.chans {
 		cs := &d.chans[ch]
-		cs.mu.Lock()
 		for _, lb := range cs.touchedList {
 			clear(cs.state[lb*d.pagesPerBlock : (lb+1)*d.pagesPerBlock])
 			cs.eraseCount[lb] = 0
@@ -498,12 +462,11 @@ func (d *Device) Reset() {
 		clear(cs.data)
 		cs.faultOps = [numFaultOps]uint64{}
 		cs.resetTiming()
-		cs.mu.Unlock()
 	}
 	d.resetStats()
 }
 
-// resetTiming returns the channel's servers to idle. Caller holds cs.mu.
+// resetTiming returns the channel's servers to idle.
 func (cs *channelState) resetTiming() {
 	for _, s := range cs.dies {
 		s.Reset()

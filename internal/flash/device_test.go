@@ -2,6 +2,7 @@ package flash
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 
 	"iceclave/internal/sim"
@@ -290,5 +291,48 @@ func TestInternalBandwidth(t *testing.T) {
 	want := 8 * 600.0 * (1 << 20)
 	if got := d.InternalBandwidth(); got != want {
 		t.Fatalf("internal bandwidth = %v, want %v", got, want)
+	}
+}
+
+// TestSnapshotRaceWithPrograms pins Snapshot as the one method safe
+// beside the device's owner: one owner goroutine programs every channel
+// while a second goroutine keeps reading Snapshot. Run under -race this
+// catches any stats counter that is not atomic.
+func TestSnapshotRaceWithPrograms(t *testing.T) {
+	d := testDevice(t)
+	g := d.Geometry()
+	const programsPerChannel = 64
+	stop := make(chan struct{})
+	var reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			// Each counter is individually atomic; relations between
+			// them hold only at quiescence, checked below.
+			_ = d.Snapshot()
+		}
+	}()
+	var err error
+	for i := 0; i < programsPerChannel && err == nil; i++ {
+		for ch := 0; ch < g.Channels && err == nil; ch++ {
+			_, err = d.Program(0, PPA(int64(ch)*g.PagesPerChannel()+int64(i)), []byte{byte(i)})
+		}
+	}
+	close(stop)
+	reader.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s := d.Snapshot()
+	want := int64(g.Channels * programsPerChannel)
+	if s.Programs != want || s.BytesWritten != want*int64(g.PageSize) {
+		t.Fatalf("snapshot after quiescence = %+v, want %d programs", s, want)
 	}
 }

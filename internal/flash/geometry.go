@@ -4,14 +4,11 @@
 // bandwidth. It is the bottom substrate of the IceClave simulator, standing
 // in for SimpleSSD's device model (paper §5, Table 3).
 //
-// Concurrency contract: Device is safe for concurrent use and is the leaf
-// of the SSD lock hierarchy — it takes no other lock, so any layer may
-// call into it while holding its own (the FTL's channel shards and
-// mapping stripes do exactly that). The device's functional state is
-// sharded by channel: every operation locks only the channel its PPA or
-// BlockID resolves to, so operations on different channels share no lock
-// (stats are lock-free atomics read via Snapshot). Geometry and Timing
-// are plain values.
+// Concurrency contract: Device has no lock. Its owner serializes every
+// call — the FTL holds its one mutex across each device call, and a
+// replay owns its whole pooled stack. Snapshot is the exception: stats
+// are atomic counters, so it is safe while the owner operates the
+// device. Geometry and Timing are plain values.
 package flash
 
 import "fmt"
@@ -106,7 +103,7 @@ type Addr struct {
 // Decompose splits a PPA into its hierarchical coordinates. The linear
 // layout is channel-major: consecutive PPAs within a plane walk pages then
 // blocks; planes, dies, chips, and channels are the outer dimensions. The
-// FTL stripes writes across channels itself, so the codec here only needs
+// FTL spreads writes across channels itself, so the codec here only needs
 // to be a bijection.
 func (g Geometry) Decompose(p PPA) Addr {
 	v := int64(p)

@@ -75,7 +75,7 @@ func refPickVictim(f *FTL, ch int) (flash.BlockID, bool) {
 			continue
 		}
 		die := f.geo.DieIndex(f.geo.FirstPage(b)) % f.geo.DiesPerChannel()
-		if skip[b] || f.pending[b] > 0 || f.bad[b] || cs.dies[die].dead {
+		if skip[b] || f.bad[b] || cs.dies[die].dead {
 			continue
 		}
 		valid := refValidPages(f.dev, b)
@@ -155,6 +155,7 @@ func TestAllocatorMatchesPerBlockReference(t *testing.T) {
 	for i := 0; i < 8000; i++ {
 		if i == 4000 {
 			resetStack(f)
+			checkInvariants(t, f)
 			at = 0
 		}
 		l := LPA(rng.Intn(working))
@@ -162,6 +163,7 @@ func TestAllocatorMatchesPerBlockReference(t *testing.T) {
 			l = LPA(rng.Intn(working / 10))
 		}
 		done, err := f.Write(at, l, nil)
+		checkInvariants(t, f)
 		if errors.Is(err, flash.ErrDieDead) {
 			dieErrs++ // GC read a victim on the die before the FTL marked it dead
 			continue
@@ -185,7 +187,7 @@ func TestAllocatorMatchesPerBlockReference(t *testing.T) {
 }
 
 // TestCollectChannelAllocatesNothing pins the steady-state GC pass at
-// zero heap allocations: victim selection reuses the shard's scratch, and
+// zero heap allocations: victim selection reuses the channel's scratch, and
 // a warmed FTL grows none of its journals.
 func TestCollectChannelAllocatesNothing(t *testing.T) {
 	f := newTestFTL(t)
@@ -198,12 +200,11 @@ func TestCollectChannelAllocatesNothing(t *testing.T) {
 		}
 		at = done
 	}
-	cs := &f.chans[0]
 	reclaimed := 0
 	allocs := testing.AllocsPerRun(20, func() {
-		cs.mu.Lock()
+		f.mu.Lock()
 		done, ok, err := f.collectChannel(at, 0)
-		cs.mu.Unlock()
+		f.mu.Unlock()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -36,11 +36,13 @@ func TestReadRetryRecoversTransient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkInvariants(t, f)
 	f.Device().SetInjector(&countInjector{readErr: flash.ErrTransientRead, failReads: 2})
 	rdone, got, err := f.Read(done, 3)
 	if err != nil {
 		t.Fatalf("read with 2 transients and 3 retries failed: %v", err)
 	}
+	checkInvariants(t, f)
 	if string(got[:22]) != "survives the transient" {
 		t.Fatalf("read back %q", got[:22])
 	}
@@ -58,11 +60,13 @@ func TestReadRetryBudgetExhausts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkInvariants(t, f)
 	// More consecutive transients than the default budget of 3 retries.
 	f.Device().SetInjector(&countInjector{readErr: flash.ErrTransientRead, failReads: 10})
 	if _, _, err := f.Read(done, 3); !errors.Is(err, flash.ErrTransientRead) {
 		t.Fatalf("err = %v, want ErrTransientRead after budget exhausted", err)
 	}
+	checkInvariants(t, f)
 	if got := f.Stats().ReadRetries; got != 3 {
 		t.Fatalf("ReadRetries = %d, want 3", got)
 	}
@@ -75,14 +79,16 @@ func TestProgramFailRetiresBlockAndRestages(t *testing.T) {
 	if err != nil {
 		t.Fatalf("write with one program failure did not recover: %v", err)
 	}
+	checkInvariants(t, f)
 	st := f.Stats()
 	if st.ProgramFails != 1 || st.BadBlocks != 1 {
 		t.Fatalf("stats = %+v, want 1 program fail and 1 bad block", st)
 	}
-	// The re-staged write landed and reads back.
+	// The retried write landed and reads back.
 	if _, got, err := f.Read(done, 5); err != nil || string(got[:7]) != "made it" {
 		t.Fatalf("read after recovery: %q, %v", got, err)
 	}
+	checkInvariants(t, f)
 	// A retired block never hosts new writes: hammer writes across both
 	// channels and confirm nothing beyond the injector's per-channel
 	// ordinal-0 failure retires a block (ordinals are per channel, so
@@ -92,6 +98,7 @@ func TestProgramFailRetiresBlockAndRestages(t *testing.T) {
 		if at, err = f.Write(at, LPA(i%16), nil); err != nil {
 			t.Fatalf("write %d after retirement: %v", i, err)
 		}
+		checkInvariants(t, f)
 	}
 	if got := f.Stats().BadBlocks; got != 2 {
 		t.Fatalf("BadBlocks = %d, want 2 (one per channel)", got)
@@ -115,6 +122,7 @@ func TestDieDeathDegradesToSurvivors(t *testing.T) {
 		if at, err = f.Write(at, LPA(i), nil); err != nil {
 			t.Fatalf("write %d with a dead die: %v", i, err)
 		}
+		checkInvariants(t, f)
 	}
 	st := f.Stats()
 	if st.DeadDies == 0 {
@@ -124,6 +132,7 @@ func TestDieDeathDegradesToSurvivors(t *testing.T) {
 	if _, _, err := f.Read(at, 0); err != nil {
 		t.Fatalf("read after die death: %v", err)
 	}
+	checkInvariants(t, f)
 }
 
 // dieKiller reports a given channel-local die permanently dead.
@@ -157,6 +166,7 @@ func TestRetiredBlockPagesStayReadable(t *testing.T) {
 		if at, err = f.Write(at, LPA(i), []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
+		checkInvariants(t, f)
 	}
 	// Fail the next program on each channel: the active blocks (holding
 	// the pages above) get retired, but their valid pages must remain
@@ -166,6 +176,7 @@ func TestRetiredBlockPagesStayReadable(t *testing.T) {
 		if at, err = f.Write(at, LPA(i), []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
+		checkInvariants(t, f)
 	}
 	if f.Stats().BadBlocks == 0 {
 		t.Fatal("no block retired")
@@ -178,6 +189,7 @@ func TestRetiredBlockPagesStayReadable(t *testing.T) {
 		if got[0] != byte(i) {
 			t.Fatalf("page %d read back %d", i, got[0])
 		}
+		checkInvariants(t, f)
 	}
 }
 
@@ -188,15 +200,18 @@ func TestResetRestoresFaultState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkInvariants(t, f)
 	if _, err := f.Write(at, 2, nil); err != nil {
 		t.Fatal(err)
 	}
+	checkInvariants(t, f)
 	if f.Stats().BadBlocks == 0 {
 		t.Fatal("setup did not retire any block")
 	}
 	f.Device().SetInjector(nil)
 	f.Device().Reset()
 	f.Reset()
+	checkInvariants(t, f)
 	st := f.Stats()
 	if st.BadBlocks != 0 || st.DeadDies != 0 || st.ProgramFails != 0 || st.ReadRetries != 0 {
 		t.Fatalf("stats after Reset = %+v, want zeroes", st)
@@ -208,5 +223,6 @@ func TestResetRestoresFaultState(t *testing.T) {
 		if t2, err = f.Write(t2, LPA(i%16), nil); err != nil {
 			t.Fatalf("write %d after Reset: %v", i, err)
 		}
+		checkInvariants(t, f)
 	}
 }

@@ -162,6 +162,30 @@ func TestReleaseIDsVisitsOnlyListed(t *testing.T) {
 	}
 }
 
+// TestClaimIDAtomicity pins the ownership-aware stamp: a claim on an
+// unowned entry wins, an idempotent re-claim by the same ID succeeds, and
+// a claim against a live owner fails typed without disturbing the entry.
+func TestClaimIDAtomicity(t *testing.T) {
+	f := newTestFTL(t)
+	const l = LPA(3)
+	if _, err := f.Write(0, l, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.ClaimID(l, 2); err != nil {
+		t.Fatalf("claim of unowned entry: %v", err)
+	}
+	if err := f.ClaimID(l, 2); err != nil {
+		t.Fatalf("idempotent re-claim: %v", err)
+	}
+	if err := f.ClaimID(l, 5); !errors.Is(err, ErrOwned) {
+		t.Fatalf("claim against live owner returned %v, want ErrOwned", err)
+	}
+	if id, _ := f.IDOf(l); id != 2 {
+		t.Fatalf("owner = %d after failed claim, want 2", id)
+	}
+	checkInvariants(t, f)
+}
+
 func TestSetIDValidation(t *testing.T) {
 	f := newTestFTL(t)
 	if err := f.ClaimID(0, 16); err == nil {
@@ -215,6 +239,7 @@ func TestReadYourWritesUnderGCProperty(t *testing.T) {
 			if err != nil {
 				return false
 			}
+			checkInvariants(t, fl)
 			at = done
 			shadow[l] = v
 			// Occasionally verify a random written LPA mid-stream.

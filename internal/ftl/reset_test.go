@@ -30,6 +30,7 @@ func driveFTL(t *testing.T, f *FTL) string {
 			if err != nil {
 				t.Fatalf("round %d write %d: %v", round, l, err)
 			}
+			checkInvariants(t, f)
 			at = done
 		}
 	}
@@ -54,7 +55,9 @@ func TestFTLResetEquivalentToFresh(t *testing.T) {
 	if err := a.ClaimID(3, 7); err != nil {
 		t.Fatal(err)
 	}
+	checkInvariants(t, a)
 	resetStack(a)
+	checkInvariants(t, a)
 
 	if s := a.Stats(); s != (Stats{}) {
 		t.Fatalf("stats after reset: %+v", s)
@@ -76,58 +79,6 @@ func TestFTLResetEquivalentToFresh(t *testing.T) {
 	if got, want := driveFTL(t, a), driveFTL(t, b); got != want {
 		t.Fatalf("reset FTL diverges from fresh:\nreset:\n%s\nfresh:\n%s", got, want)
 	}
-}
-
-// TestResetClearsInFlightState pins the stale in-flight hazard (satellite
-// of the pool work): a program staged but never committed — the state a
-// crashed or denied writer leaves behind — must not survive a reset as a
-// pending marker that holds GC off its block or inflates the shard's
-// in-flight count into spurious full-device retries.
-func TestResetClearsInFlightState(t *testing.T) {
-	f := newTestFTL(t)
-	ppa, _, err := f.stage(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := f.geo.BlockOf(ppa)
-	if f.pending[b] != 1 || f.chans[0].inflight != 1 {
-		t.Fatalf("stage left pending=%d inflight=%d", f.pending[b], f.chans[0].inflight)
-	}
-	resetStack(f)
-	for blk := range f.pending {
-		if f.pending[blk] != 0 {
-			t.Fatalf("block %d pending=%d after reset", blk, f.pending[blk])
-		}
-	}
-	for ch := range f.chans {
-		if f.chans[ch].inflight != 0 {
-			t.Fatalf("channel %d inflight=%d after reset", ch, f.chans[ch].inflight)
-		}
-	}
-	fillWholeDevice(t, f)
-}
-
-// TestResetClearsOrphanedPages pins the other half of the hazard: a
-// WriteFor denied at commit (ownership changed mid-flight, PR 3) orphans
-// the freshly programmed page as invalid with no reverse mapping. After a
-// reset the reused stack must accept a full logical-space fill — stale
-// orphans must not surface as ErrDeviceFull or unreclaimable blocks.
-func TestResetClearsOrphanedPages(t *testing.T) {
-	f := newTestFTL(t)
-	const l = LPA(5)
-	programHook = func(int) {
-		if err := f.ClaimID(l, 2); err != nil {
-			t.Error(err)
-		}
-	}
-	defer func() { programHook = nil }()
-	_, _, _, err := f.WriteFor(0, l, nil, 1)
-	if !errors.Is(err, ErrAccessDenied) {
-		t.Fatalf("mid-flight ownership flip: err=%v, want ErrAccessDenied", err)
-	}
-	programHook = nil
-	resetStack(f)
-	fillWholeDevice(t, f)
 }
 
 // fillWholeDevice writes every logical page once — with over-provisioning

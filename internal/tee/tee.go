@@ -15,13 +15,11 @@
 // lifecycle tables, the protected-region mapping cache, the world monitor,
 // and the virtual clock (which advances monotonically under concurrency);
 // the flash data path and the stream cipher run outside it so concurrent
-// page reads overlap. Below the runtime, the FTL and the flash device are
-// both sharded per channel, so TEEs whose LPAs live on different channels
-// share no lock on the data path at all — ReadPage/WritePage from
-// cross-channel tenants proceed with zero mutual exclusion once past the
-// runtime's short bookkeeping sections. Isolation still holds mid-flight:
-// ownership is re-checked inside the FTL's critical section on every data
-// access.
+// page reads overlap in their cipher work. Below the runtime, the FTL's
+// one mutex serializes the mapping table and the flash device for the
+// short bookkeeping of each page access. Isolation still holds
+// mid-flight: ownership is re-checked inside the FTL's critical section
+// on every data access.
 package tee
 
 import (
