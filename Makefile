@@ -84,22 +84,25 @@ bench-compare:
 	@echo "traced pair:"
 	@bash bench/run.sh -agree $(CURDIR)/out/bench-base-traced.json $(CURDIR)/out/bench-new-traced.json
 
-# fuzz gives each cipher/MEE/trace/fault fuzz target a short budget
+# fuzz gives each cipher/MEE/cache/trace/fault fuzz target a short budget
 # beyond the committed regression corpus in testdata/fuzz. The Trivium
 # targets differentially check the word-parallel engine against the
 # bit-serial reference on every input; the traffic target does the same
 # for the batched traffic model against its per-line TrafficReference
-# oracle; the trace target pins that arbitrary CSV input parses to a
-# typed error or a well-formed schedule, never a panic or a silent row
-# drop; the fault target derives arbitrary plans and requires the
-# decision stream to be repeatable, probability-bounded, and panic-free
-# at every site/ordinal.
+# oracle; the cache target checks cache.Cache against a test-only
+# reference (per-set recency lists and a dirty map) that shares none of
+# its code, since both traffic models sit on cache.Cache; the trace
+# target pins that arbitrary CSV input parses to a typed error or a
+# well-formed schedule, never a panic or a silent row drop; the fault
+# target derives arbitrary plans and requires the decision stream to be
+# repeatable, probability-bounded, and panic-free at every site/ordinal.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzKeystreamRoundTrip -fuzztime=20s ./internal/trivium
 	$(GO) test -run='^$$' -fuzz=FuzzEnginePageRoundTrip -fuzztime=20s ./internal/trivium
 	$(GO) test -run='^$$' -fuzz=FuzzEngineWriteReadMAC -fuzztime=20s ./internal/mee
 	$(GO) test -run='^$$' -fuzz=FuzzEngineCounterReplay -fuzztime=20s ./internal/mee
 	$(GO) test -run='^$$' -fuzz=FuzzTrafficBatchedVsReference -fuzztime=20s ./internal/mee
+	$(GO) test -run='^$$' -fuzz=FuzzCacheVsReference -fuzztime=20s ./internal/cache
 	$(GO) test -run='^$$' -fuzz=FuzzTraceReader -fuzztime=20s ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzFaultPlan -fuzztime=20s ./internal/fault
 

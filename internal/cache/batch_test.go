@@ -27,9 +27,9 @@ func NewFromGeometry(name string, lineSize uint64, sets, ways int) *Cache {
 // the eviction streams of the equivalence drivers).
 func snapshot(c *Cache) (Stats, map[uint64]bool) {
 	resident := make(map[uint64]bool)
-	for i := range c.lines {
-		if c.lines[i].gen == c.gen {
-			resident[c.lines[i].tag*c.lineSize] = c.lines[i].dirty
+	for i, t := range c.touch {
+		if t>>1 >= c.start {
+			resident[c.tags[i]<<c.lineShift] = t&1 != 0
 		}
 	}
 	return c.Stats(), resident
@@ -92,7 +92,7 @@ func TestAccessRunMatchesRepeatedAccess(t *testing.T) {
 				t.Fatalf("op %d: Access diverges: (%v %v %v) vs (%v %v %v)",
 					op, h1, e1, v1, h2, e2, v2)
 			}
-		case 2: // invalidation (also exercises the MRU self-check)
+		case 2: // invalidation
 			d1 := run.Invalidate(addr)
 			d2 := ref.Invalidate(addr)
 			if d1 != d2 {
@@ -106,22 +106,22 @@ func TestAccessRunMatchesRepeatedAccess(t *testing.T) {
 	sameState(t, run, ref, "final")
 }
 
-// TestMRUShortcutSurvivesInvalidate pins that the MRU fast path cannot
-// resurrect an invalidated or replaced line: the shortcut re-validates tag
-// and valid bit on every probe.
-func TestMRUShortcutSurvivesInvalidate(t *testing.T) {
-	c := NewFromGeometry("mru", 64, 1, 1) // one line total
+// TestInvalidatedOrReplacedLineMisses pins that neither an invalidated
+// line nor one whose way was refilled with another line can hit again:
+// the probe re-validates both the line number and the touch stamp.
+func TestInvalidatedOrReplacedLineMisses(t *testing.T) {
+	c := NewFromGeometry("one", 64, 1, 1) // one line total
 	c.Access(0, true)
 	if hit, _, _ := c.Access(0, false); !hit {
 		t.Fatal("second probe of resident line missed")
 	}
 	c.Invalidate(0)
 	if hit, _, _ := c.Access(0, false); hit {
-		t.Fatal("invalidated line hit via MRU shortcut")
+		t.Fatal("invalidated line hit")
 	}
-	// Replace the slot with a different tag; probing the old tag must miss.
+	// Replace the way with a different line; probing the old one must miss.
 	c.Access(64, false)
 	if hit, _, _ := c.Access(0, false); hit {
-		t.Fatal("replaced line hit via stale MRU index")
+		t.Fatal("replaced line hit")
 	}
 }

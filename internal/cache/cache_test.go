@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -105,6 +106,7 @@ func TestGeometryValidation(t *testing.T) {
 		"zero ways":   func() { New("x", 1024, 64, 0) },
 		"not aligned": func() { New("x", 1000, 64, 2) },
 		"non pow2":    func() { New("x", 64*3, 64, 1) },
+		"line 96":     func() { New("x", 96*4, 96, 1) },
 	} {
 		func() {
 			defer func() {
@@ -114,6 +116,24 @@ func TestGeometryValidation(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// TestBytesPerWay pins the way layout: the default 2 GB page cache of
+// 4 KB lines, 8 ways, allocates two words per way and a small constant
+// (64 KB, slack for any allocation made elsewhere while it is measured;
+// a third word per way would add 4 MB).
+func TestBytesPerWay(t *testing.T) {
+	const capacity, lineSize = 2 << 30, 4096
+	ways := uint64(capacity / lineSize)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c := New("p", capacity, lineSize, 8)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(c)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, 16*ways+1<<16; got > limit {
+		t.Fatalf("New allocated %d bytes for %d ways (%.2f B/way), want at most %d",
+			got, ways, float64(got)/float64(ways), limit)
 	}
 }
 
@@ -151,5 +171,40 @@ func TestHitRate(t *testing.T) {
 	s = Stats{Hits: 3, Misses: 1}
 	if s.HitRate() != 0.75 {
 		t.Fatalf("hit rate = %v, want 0.75", s.HitRate())
+	}
+}
+
+// BenchmarkAccess times one probe of the two shapes that dominate the
+// replays: the MEE counter cache (128 KB, 64 B lines, 8 ways) under a
+// skewed stream over four times its capacity, three probes in four to
+// the hottest quarter of it, and the default DRAM page cache (2 GB, 4 KB
+// lines, 8 ways) under uniform pages over twice its capacity. One probe
+// in four writes. The streams are generated before the timer starts.
+func BenchmarkAccess(b *testing.B) {
+	for _, bc := range []struct {
+		name               string
+		capacity, lineSize uint64
+		footprint          uint64 // lines the stream ranges over
+		skewed             bool
+	}{
+		{"counter-cache", 128 << 10, 64, 4 * (128 << 10) / 64, true},
+		{"page-cache", 2 << 30, 4096, 2 * (2 << 30) / 4096, false},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			c := New(bc.name, bc.capacity, bc.lineSize, 8)
+			addrs := make([]uint64, 1<<16)
+			rng := xorshift(42)
+			for i := range addrs {
+				line := rng.next() % bc.footprint
+				if bc.skewed && rng.next()%4 != 0 {
+					line %= bc.footprint / 4
+				}
+				addrs[i] = line * bc.lineSize
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.Access(addrs[i&(len(addrs)-1)], i&3 == 0)
+			}
+		})
 	}
 }

@@ -2,7 +2,7 @@ package cache
 
 import "testing"
 
-// TestResetEquivalentToFresh pins the generation-based Reset: a churned
+// TestResetEquivalentToFresh pins the tick-stamped Reset: a churned
 // then Reset cache must behave exactly like a freshly constructed one —
 // same hits, misses, evictions, writebacks, and victim choices — under an
 // identical access sequence. This is the contract the resource pool's
@@ -47,8 +47,8 @@ func TestResetEquivalentToFresh(t *testing.T) {
 	sameState(t, a, b, "after identical drive")
 }
 
-// TestResetRepeatable pins that Reset works more than once: each
-// generation behaves like a fresh cache.
+// TestResetRepeatable pins that Reset works more than once: the contents
+// after each Reset behave like a fresh cache.
 func TestResetRepeatable(t *testing.T) {
 	c := NewFromGeometry("c", 64, 4, 2)
 	var want Stats

@@ -21,8 +21,8 @@ type poolKey struct {
 // cacheKey identifies interchangeable cache components (page cache, CMT)
 // by capacity and line size. Cache geometry depends only on the
 // configuration, not on the flash geometry the traces sized, so these
-// keys have far lower cardinality than poolKey — the 20 MB page-cache
-// line array is shared across every workload of a configuration.
+// keys have far lower cardinality than poolKey — the default page cache's
+// 8 MB of way arrays are shared across every workload of a configuration.
 type cacheKey struct {
 	bytes    uint64
 	pageSize uint64
@@ -58,7 +58,7 @@ type PoolStats struct {
 // reused as-is — the zero-alloc path. A stack whose key has rotated out
 // is disassembled on release: its page cache, CMT, and device+FTL pair
 // drop into component pools with coarser keys, so even a full-stack miss
-// reuses the allocations that dominate setup (the page-cache line array
+// reuses the allocations that dominate setup (the page cache's way arrays
 // above all). Checked-out resources are owned exclusively by one run —
 // the pool's mutex hands them over with a happens-before edge, so
 // concurrent suite workers are race-free without any locking inside the

@@ -47,8 +47,8 @@ func (pc *PageCache) Capacity() uint64 { return pc.c.Capacity() }
 func (pc *PageCache) ResetStats() { pc.c.ResetStats() }
 
 // Reset empties the cache and zeroes its counters, returning it to the
-// post-NewPageCache state. The underlying line array — half a million
-// entries for a multi-gigabyte cache, the dominant allocation of a fresh
-// replay stack — is invalidated by generation stamp, not re-zeroed, so
-// Reset is O(1) (part of the pool reset contract).
+// post-NewPageCache state. The underlying way arrays — half a million
+// ways, 8 MB, for the default 2 GB cache, the dominant allocation of a
+// fresh replay stack — are orphaned by moving the cache's start tick, not
+// re-zeroed, so Reset is O(1) (part of the pool reset contract).
 func (pc *PageCache) Reset() { pc.c.Reset() }

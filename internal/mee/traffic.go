@@ -62,8 +62,11 @@ type TrafficConfig struct {
 	VerifyLatency     sim.Duration // pipeline latency per protected read (Table 5: 151.2 ns)
 	// SampleWeight declares that each Access call stands for this many
 	// real accesses (trace sampling). Data counts and minor-counter
-	// advancement scale by it; metadata miss events do not, because a
-	// sampled-but-sparser stream still misses each metadata line once.
+	// advancement scale by it; metadata miss events do not. That is exact
+	// for compulsory misses, since a sampled stream still misses each
+	// metadata line once, but not for capacity misses: a stream thinned
+	// by the weight puts that much less pressure on the counter cache,
+	// so a sampled run can under-count the misses of the full stream.
 	SampleWeight int
 }
 
@@ -570,7 +573,7 @@ func (t *TrafficModel) accessGroup(addr uint64, write bool, stride uint64, k int
 
 // Reset clears all model state and statistics.
 func (t *TrafficModel) Reset() {
-	t.meta = cache.New("counter-cache", t.cfg.CounterCacheBytes, LineSize, 8)
+	t.meta.Reset()
 	t.wr.init()
 	t.minors.init()
 	t.stats = TrafficStats{}

@@ -188,7 +188,7 @@ func (t *TrafficReference) Access(addr uint64, write bool) (extra sim.Duration) 
 
 // Reset clears all model state and statistics.
 func (t *TrafficReference) Reset() {
-	t.meta = cache.New("counter-cache", t.cfg.CounterCacheBytes, LineSize, 8)
+	t.meta.Reset()
 	t.writable = make(map[uint64]bool)
 	t.minors = make(map[uint64]uint8)
 	t.stats = TrafficStats{}
