@@ -112,9 +112,9 @@ type Config struct {
 	MinFlashPages int64
 	// AdmissionSlots caps how many tenants replay concurrently in
 	// RunMulti. Tenants beyond the cap queue in simulated time behind the
-	// sched package's virtual admission gate, and the wait is reported in
-	// Result.QueueDelay. 0 disables admission control — every tenant is
-	// admitted at time zero, the pre-backbone semantics.
+	// sched package's virtual-time admission gate (sched.Gate), and the
+	// wait is reported in Result.QueueDelay. 0 disables admission control:
+	// every tenant is granted at its arrival instant.
 	AdmissionSlots int
 	// AdmissionTenantSlots caps concurrently admitted replays per tenant
 	// (trace) name, the virtual-time form of sched.Config.
@@ -132,23 +132,21 @@ type Config struct {
 	AdmissionBatch int
 	// AdmissionQuantumFloor, when positive (and AdmissionQuantum is set),
 	// makes the batched-grant tick adaptive: each armed tick uses period
-	// AdmissionQuantum/(1+queued), clamped below by this floor — the gate
+	// max(AdmissionQuantum/(1+queued), AdmissionQuantumFloor), so the gate
 	// schedules lazily when idle and approaches per-release latency as the
-	// queue deepens. A scalar knob (not a hook) keeps Config comparable
-	// for the experiment suite's memo keys; RunMulti translates it into
-	// the sim layer's AdaptiveQuantum policy hook.
+	// queue deepens. It is sched.GateConfig.Floor.
 	AdmissionQuantumFloor sim.Duration
-	// ArrivalSchedule, when non-nil, switches RunMulti to open-loop
-	// playback: tenant i submits at Submissions[i].At with that entry's
-	// priority band and tenant key (the trace name when the entry's key is
-	// empty), instead of every tenant at t=0 with PriorityNormal. The
-	// schedule must have exactly one submission per trace. Each tenant's
-	// QueueDelay and Total then count from its scheduled arrival — the
-	// pre-arrival idle of a late arrival is not queueing delay. The zero
-	// value (nil) reproduces the t=0 semantics exactly. A pointer keeps
-	// Config comparable for the experiment suite's memo keys: two configs
-	// share a key only when they share the schedule instance, which is
-	// also the only way the replays are guaranteed identical.
+	// ArrivalSchedule, when non-nil, plays a trace back through RunMulti:
+	// tenant i arrives at Submissions[i].At with that entry's priority
+	// band (0..2, low to high) and tenant key (the trace name when the
+	// entry's key is empty), instead of every tenant at t=0 with
+	// PriorityNormal. The schedule must have exactly one submission per
+	// trace. Each tenant's QueueDelay and Total then count from its
+	// scheduled arrival — the pre-arrival idle of a late arrival is not
+	// queueing delay. A pointer keeps Config comparable for the
+	// experiment suite's memo keys: two configs share a key only when they
+	// share the schedule instance, which is also the only way the replays
+	// are guaranteed identical.
 	ArrivalSchedule *trace.Schedule
 	// FaultPlan, when non-nil, injects the plan's deterministic faults
 	// into the replay: flash read/program faults and die deaths through

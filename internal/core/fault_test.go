@@ -193,10 +193,10 @@ func TestOffloadTimeoutFailsSlowTenant(t *testing.T) {
 	}
 }
 
-// The PR 6 reset contract extends to circuit breakers: the breaker set
-// recycles with its pooled stack, is reset on acquire, and so trips and
-// open/half-open positions never leak across pooled-stack reuse. A
-// mismatched install-time plan is a typed error, not a silent no-op.
+// The pooled-stack reset contract extends to circuit breakers: each run builds
+// its own breaker set, so trips and open/half-open positions never leak
+// across pooled-stack reuse — a fresh stack, the first pooled run and a
+// recycled one replay a breaker-tripping scenario identically.
 func TestBreakerStateNoLeakAcrossPooledReuse(t *testing.T) {
 	traces := faultMix(t)
 	cfg := DefaultConfig()
@@ -240,36 +240,6 @@ func TestBreakerStateNoLeakAcrossPooledReuse(t *testing.T) {
 		}
 	}
 
-	// White-box half: the idle pooled stack still carries the last run's
-	// tripped breaker set; acquiring a matching set from it must hand
-	// back fully closed, zero-trip breakers, and a differing breaker
-	// config must not inherit the old set at all.
-	pool.mu.Lock()
-	var res *resources
-	for _, list := range pool.idle {
-		for _, r := range list {
-			if r.brk != nil {
-				res = r
-			}
-		}
-	}
-	pool.mu.Unlock()
-	if res == nil {
-		t.Fatal("no pooled stack retained a breaker set")
-	}
-	if res.brk.Trips() == 0 {
-		t.Fatal("pooled breaker set recorded no trips; scenario too gentle")
-	}
-	bs := res.acquireBreakers(res.brk.Config())
-	if bs.Trips() != 0 {
-		t.Errorf("recycled breaker set carries %d trips across reuse", bs.Trips())
-	}
-	if st := bs.For(traces[0].Name).State(); st != sim.BreakerClosed {
-		t.Errorf("recycled breaker for %s is %v, want closed", traces[0].Name, st)
-	}
-	if other := res.acquireBreakers(sim.BreakerConfig{Failures: 9, Cooldown: sim.Millisecond}); other == bs {
-		t.Error("breaker set reused across differing configurations")
-	}
 }
 
 // A plan whose scripted deaths fall outside the device geometry is

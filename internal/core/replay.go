@@ -92,25 +92,6 @@ type resources struct {
 	storage   *cpu.Complex
 	hostCPU   *cpu.Complex
 	pcie      *host.PCIe
-
-	// brk is the per-tenant circuit-breaker set of the stack's last
-	// faulty run, recycled with the stack under the reset contract:
-	// acquireBreakers resets every breaker before reuse, so trips and
-	// open/half-open state never leak across pooled-stack reuse. nil
-	// until the first run that breaks circuits.
-	brk *sched.Breakers
-}
-
-// acquireBreakers returns the stack's breaker set for cfg, recycling the
-// pooled set (every breaker reset to closed, zero trips) when its
-// configuration matches, and building a fresh set otherwise.
-func (r *resources) acquireBreakers(cfg sim.BreakerConfig) *sched.Breakers {
-	if r.brk != nil && r.brk.Config() == cfg {
-		r.brk.Reset()
-		return r.brk
-	}
-	r.brk = sched.NewBreakers(cfg)
-	return r.brk
 }
 
 // pageCacheBytes returns the page cache capacity cfg sizes for page size
@@ -186,9 +167,6 @@ func (r *resources) reset() {
 	r.storage.Reset()
 	r.hostCPU.Reset()
 	r.pcie.Reset()
-	if r.brk != nil {
-		r.brk.Reset()
-	}
 }
 
 // sealSetup is the single post-setup reset point between prepopulation
@@ -696,7 +674,7 @@ func Run(tr *workload.Trace, mode Mode, cfg Config) (Result, error) {
 // Total), the wait is measured from the tenant's arrival, and the Table 5
 // creation cost is charged. It also binds the step event every later step
 // reuses.
-func (t *tenant) start(granted sim.Time, eng *sim.Engine, adm *sched.VirtualAdmission, ticket *sim.Ticket) {
+func (t *tenant) start(granted sim.Time, eng *sim.Engine, adm *sched.Gate, ticket *sched.Ticket) {
 	t.now = granted
 	t.granted = granted
 	t.result.QueueDelay = sim.Duration(granted - t.arrival)
@@ -749,7 +727,7 @@ func retryPolicy(cfg Config) sched.RetryPolicy {
 // (parked until the half-open probe window when the circuit is open) or
 // fail the offload once the step's retry budget or the offload deadline
 // is exhausted.
-func (t *tenant) faultEvent(eng *sim.Engine, adm *sched.VirtualAdmission, ticket *sim.Ticket) {
+func (t *tenant) faultEvent(eng *sim.Engine, adm *sched.Gate, ticket *sched.Ticket) {
 	t.attempts++
 	if t.breaker != nil && t.breaker.Failure(t.now) {
 		t.result.BreakerTrips++
@@ -776,7 +754,7 @@ func (t *tenant) faultEvent(eng *sim.Engine, adm *sched.VirtualAdmission, ticket
 // fail abandons the offload: the tenant stops consuming its trace,
 // charges teardown, and releases its admission slot so queued tenants
 // still get their grants — graceful degradation, never a stuck engine.
-func (t *tenant) fail(adm *sched.VirtualAdmission, ticket *sim.Ticket) {
+func (t *tenant) fail(adm *sched.Gate, ticket *sched.Ticket) {
 	t.result.Failed = true
 	t.retry = nil
 	t.step = len(t.trace.Steps) + 2 // past done: never advances again
@@ -791,7 +769,7 @@ func (t *tenant) fail(adm *sched.VirtualAdmission, ticket *sim.Ticket) {
 // tenant's advanced clock. A drained trace charges the deletion cost and
 // releases the admission slot — which is what lets a queued tenant's grant
 // fire at this tenant's virtual completion time.
-func (t *tenant) stepEvent(eng *sim.Engine, adm *sched.VirtualAdmission, ticket *sim.Ticket) {
+func (t *tenant) stepEvent(eng *sim.Engine, adm *sched.Gate, ticket *sched.Ticket) {
 	if t.done() {
 		if t.mode == ModeIceClave {
 			t.now += t.res.cfg.Costs.Delete
@@ -825,19 +803,19 @@ func (t *tenant) stepEvent(eng *sim.Engine, adm *sched.VirtualAdmission, ticket 
 
 // RunMulti replays several traces concurrently against shared hardware —
 // the multi-tenant experiments of Figures 17 and 18. One discrete-event
-// virtual-time backbone spans the whole run: tenants submit to the sched
-// package's simulated-time admission gate, grants and replay steps are
+// virtual-time backbone spans the whole run: tenants arrive at the sched
+// package's virtual-time admission gate, grants and replay steps are
 // engine events in virtual-time order, and tenants contend for channels,
 // dies, cores, the mapping cache, and the page cache through the same
 // clock. With admission caps configured, the wait for a slot appears in
 // each Result's QueueDelay (and in its Total).
 //
-// Submission timing is closed-loop by default — every tenant submits at
-// time zero with PriorityNormal, the saturation regime. A non-nil
-// cfg.ArrivalSchedule switches to open-loop trace playback: tenant i
-// enters the gate at Submissions[i].At in its entry's priority band, with
-// its entry's tenant key, and its QueueDelay/Total count from that
-// arrival instant.
+// By default every tenant arrives at time zero with PriorityNormal, keyed
+// by its trace name: the saturation regime. A non-nil cfg.ArrivalSchedule
+// plays a trace back instead: tenant i arrives at Submissions[i].At in its
+// entry's priority band, with its entry's tenant key, and its
+// QueueDelay/Total count from that arrival instant. Both take the same
+// path through the gate.
 func RunMulti(traces []*workload.Trace, mode Mode, cfg Config) ([]Result, error) {
 	out, _, err := RunMultiStats(traces, mode, cfg)
 	return out, err
@@ -861,9 +839,29 @@ type RunStats struct {
 // RunMultiStats is RunMulti returning whole-run statistics alongside the
 // per-tenant Results.
 func RunMultiStats(traces []*workload.Trace, mode Mode, cfg Config) ([]Result, RunStats, error) {
-	if cfg.ArrivalSchedule != nil && len(cfg.ArrivalSchedule.Submissions) != len(traces) {
-		return nil, RunStats{}, fmt.Errorf("core: arrival schedule has %d submissions for %d traces",
-			len(cfg.ArrivalSchedule.Submissions), len(traces))
+	// Every tenant enters the gate through one arrival list: a nil
+	// schedule is every tenant at t=0, PriorityNormal, keyed by its trace
+	// name.
+	arrivals := make([]sched.Arrival, len(traces))
+	for i, tr := range traces {
+		arrivals[i] = sched.Arrival{Key: tr.Name, Priority: sched.PriorityNormal}
+	}
+	if s := cfg.ArrivalSchedule; s != nil {
+		if len(s.Submissions) != len(traces) {
+			return nil, RunStats{}, fmt.Errorf("core: arrival schedule has %d submissions for %d traces",
+				len(s.Submissions), len(traces))
+		}
+		for i, sub := range s.Submissions {
+			if sub.Band < int(sched.PriorityLow) || sub.Band > int(sched.PriorityHigh) {
+				return nil, RunStats{}, fmt.Errorf("core: arrival schedule submission %d has band %d, want %d..%d",
+					i, sub.Band, sched.PriorityLow, sched.PriorityHigh)
+			}
+			arrivals[i].At = sub.At
+			arrivals[i].Priority = sched.Priority(sub.Band)
+			if sub.Tenant != "" {
+				arrivals[i].Key = sub.Tenant
+			}
+		}
 	}
 	res, offsets, err := newResources(cfg, traces)
 	if err != nil {
@@ -888,82 +886,39 @@ func RunMultiStats(traces []*workload.Trace, mode Mode, cfg Config) ([]Result, R
 		}
 		res.dev.SetInjector(inj)
 		if cfg.BreakerFailures >= 0 {
-			breakers = res.acquireBreakers(sim.BreakerConfig{
+			breakers = sched.NewBreakers(sim.BreakerConfig{
 				Failures: cfg.BreakerFailures,
 				Cooldown: cfg.BreakerCooldown,
 			})
 		}
 	}
 	eng := &sim.Engine{}
-	vcfg := sched.VirtualConfig{
-		MaxInFlight:       cfg.AdmissionSlots,
-		TenantMaxInFlight: cfg.AdmissionTenantSlots,
-		GrantQuantum:      cfg.AdmissionQuantum,
-		GrantBatch:        cfg.AdmissionBatch,
-	}
-	if cfg.AdmissionQuantum > 0 && cfg.AdmissionQuantumFloor > 0 {
-		floor := cfg.AdmissionQuantumFloor
-		vcfg.GrantAdaptive = func(queued int, base sim.Duration) sim.Duration {
-			q := base / sim.Duration(1+queued)
-			if q < floor {
-				q = floor
-			}
-			return q
-		}
-	}
-	adm := sched.NewVirtualAdmission(eng, vcfg)
+	adm := sched.NewGate(eng, sched.GateConfig{
+		Slots:   cfg.AdmissionSlots,
+		PerKey:  cfg.AdmissionTenantSlots,
+		Quantum: cfg.AdmissionQuantum,
+		Batch:   cfg.AdmissionBatch,
+		Floor:   cfg.AdmissionQuantumFloor,
+	})
 	tenants := make([]*tenant, len(traces))
+	tickets := make([]*sched.Ticket, len(traces))
 	for i, tr := range traces {
 		tn := newTenant(res, tr, mode, offsets[i], cfg.Seed+uint64(i)*7919)
-		if cfg.ArrivalSchedule != nil {
-			tn.arrival = cfg.ArrivalSchedule.Submissions[i].At
-		}
+		tn.arrival = arrivals[i].At
 		if injecting {
 			tn.faults = plan
 			tn.tenantIdx = i
 			tn.policy = retryPolicy(cfg)
 			if breakers != nil {
-				key := tr.Name
-				if cfg.ArrivalSchedule != nil && cfg.ArrivalSchedule.Submissions[i].Tenant != "" {
-					key = cfg.ArrivalSchedule.Submissions[i].Tenant
-				}
-				tn.breaker = breakers.For(key)
+				tn.breaker = breakers.For(arrivals[i].Key)
 			}
 		}
 		tenants[i] = tn
+		arrivals[i].Fn = func(granted sim.Time) { tn.start(granted, eng, adm, tickets[i]) }
 	}
-	if cfg.ArrivalSchedule == nil {
-		for i, tr := range traces {
-			tn := tenants[i]
-			var ticket *sim.Ticket
-			ticket = adm.Submit(0, tr.Name, sched.PriorityNormal, func(granted sim.Time) {
-				tn.start(granted, eng, adm, ticket)
-			})
-		}
-	} else {
-		entries := make([]sched.ScheduledArrival, len(traces))
-		tickets := make([]*sim.Ticket, len(traces))
-		for i, tr := range traces {
-			sub := cfg.ArrivalSchedule.Submissions[i]
-			tn := tenants[i]
-			key := sub.Tenant
-			if key == "" {
-				key = tr.Name
-			}
-			i := i
-			entries[i] = sched.ScheduledArrival{
-				At:       sub.At,
-				Tenant:   key,
-				Priority: sched.Priority(sub.Band),
-				Fn: func(granted sim.Time) {
-					tn.start(granted, eng, adm, tickets[i])
-				},
-			}
-		}
-		// Grants fire only once the engine runs, so the tickets slice is
-		// fully populated before any callback dereferences it.
-		copy(tickets, adm.Playback(entries))
-	}
+	// Grants fire only once the engine runs, so tickets is fully
+	// populated before any callback reads it.
+	copy(tickets, adm.Playback(arrivals))
 	eng.Run()
 	stats := RunStats{
 		AdmissionTicks: adm.Ticks(),

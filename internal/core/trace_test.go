@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -21,12 +22,11 @@ func t0NormalSchedule(n int) *trace.Schedule {
 	return s
 }
 
-// TestZeroScheduleMatchesNilSchedule is the acceptance pin for open-loop
-// playback's backward compatibility: an explicit all-at-t=0,
-// PriorityNormal schedule must reproduce the nil-schedule results
-// bit-identically — under no caps, a global cap, a per-tenant cap, and
-// batched grants — so the playback path is a strict generalization of the
-// closed-loop path, not a parallel implementation that drifts.
+// TestZeroScheduleMatchesNilSchedule pins the defaults a nil
+// ArrivalSchedule stands for: an explicit schedule of every tenant at t=0,
+// PriorityNormal, keyed by its trace name, must reproduce the
+// nil-schedule results bit-identically — under no caps, a global cap, a
+// per-tenant cap, and batched grants.
 func TestZeroScheduleMatchesNilSchedule(t *testing.T) {
 	a := recordTrace(t, "Filter")
 	b := recordTrace(t, "Aggregate")
@@ -207,5 +207,20 @@ func TestArrivalScheduleLengthMismatch(t *testing.T) {
 	_, err := RunMulti([]*workload.Trace{a}, ModeIceClave, cfg)
 	if err == nil || !strings.Contains(err.Error(), "3 submissions for 1 traces") {
 		t.Fatalf("error = %v, want a submission/trace count mismatch", err)
+	}
+}
+
+// TestArrivalScheduleBandOutOfRange pins the band validation: a
+// submission outside the three priority bands is a configuration error,
+// not a replay in some other band.
+func TestArrivalScheduleBandOutOfRange(t *testing.T) {
+	a := recordTrace(t, "Filter")
+	for _, band := range []int{-1, 3} {
+		cfg := DefaultConfig()
+		cfg.ArrivalSchedule = &trace.Schedule{Submissions: []trace.Submission{{At: 0, Band: band}}}
+		_, err := RunMulti([]*workload.Trace{a}, ModeIceClave, cfg)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("band %d", band)) {
+			t.Fatalf("band %d: error = %v, want a band-range error", band, err)
+		}
 	}
 }

@@ -75,18 +75,3 @@ func (bs *Breakers) Trips() int {
 	}
 	return n
 }
-
-// Config returns the per-breaker configuration the set was built with —
-// the identity the resource pool matches on when deciding whether a
-// recycled set can serve an upcoming run.
-func (bs *Breakers) Config() sim.BreakerConfig { return bs.cfg }
-
-// Reset returns every breaker in the set to its initial closed state
-// with zero trips — the pooled-reuse contract hook: a recycled replay
-// stack's breaker set must be indistinguishable from a fresh one, no
-// matter how tripped, open, or half-open the previous run left it.
-func (bs *Breakers) Reset() {
-	for _, b := range bs.m {
-		b.Reset()
-	}
-}

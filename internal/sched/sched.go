@@ -18,20 +18,15 @@
 //   - Jobs queue FIFO within three priority bands; dispatch is
 //     work-conserving: a job whose tenant is at its cap is skipped, not
 //     head-of-line blocking the band.
-//   - Dispatch is cache-affine: a tenant's next job prefers the worker
-//     that last ran that tenant (its working set is warm in that core's
-//     cache, mirroring controller core affinity). An idle preferred
-//     worker is left to claim its tenant's job; a busy one is not waited
-//     for — any free worker takes the job, keeping dispatch
-//     work-conserving.
 //   - Graceful drain: Drain stops admission and waits for the queues and
 //     workers to empty; Close additionally stops the workers.
 //   - Per-tenant metering: submissions, completions, failures,
 //     rejections, queue wait, and run time, for fairness accounting.
 //
-// The scheduler is deliberately generic — a Job is just a func(ctx) error —
-// so the same pool drives functional TEE offloads (iceclave.SSD), timing
-// replays, and the parallel experiment suite.
+// The pool and the virtual-time Gate (gate.go) drive one admission queue
+// (queue.go), so the wall-clock and simulated-time gates grant in the
+// same order. A Job is just a func(ctx) error; the pool drives functional
+// TEE offloads (iceclave.SSD).
 //
 // Concurrency contract: Scheduler and Handle are safe for concurrent use
 // from any number of tenant goroutines; Stats snapshots are internally
@@ -129,10 +124,6 @@ type TenantStats struct {
 	RunTime time.Duration
 	// MaxInFlight is the high-water mark of concurrently running jobs.
 	MaxInFlight int
-	// LastWorker is the pool worker (0..Workers-1) that most recently
-	// started one of the tenant's jobs — the cache-affinity target; -1
-	// until the tenant's first job runs.
-	LastWorker int
 }
 
 // Stats aggregates scheduler-wide counters.
@@ -176,12 +167,6 @@ type job struct {
 	enqueued time.Time
 }
 
-// tenantState is the per-tenant admission and metering record.
-type tenantState struct {
-	inflight int
-	stats    TenantStats
-}
-
 // Scheduler is the admission-controlled worker pool. Create with New;
 // the zero value is not usable.
 type Scheduler struct {
@@ -189,11 +174,8 @@ type Scheduler struct {
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	queues   [numPriorities][]*job
-	queued   int
-	running  int
-	tenants  map[string]*tenantState
-	idle     []bool // idle[w]: worker w is parked in cond.Wait
+	q        queue[*job]
+	tenants  map[string]*TenantStats
 	stats    Stats
 	draining bool
 	stopped  bool
@@ -208,14 +190,14 @@ func New(cfg Config) *Scheduler {
 	cfg.applyDefaults()
 	s := &Scheduler{
 		cfg:     cfg,
-		tenants: make(map[string]*tenantState),
+		q:       newQueue[*job](cfg.MaxInFlight, cfg.TenantMaxInFlight),
+		tenants: make(map[string]*TenantStats),
 	}
 	s.cond = sync.NewCond(&s.mu)
-	s.idle = make([]bool, cfg.Workers)
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	s.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
-		go s.worker(i)
+		go s.worker()
 	}
 	return s
 }
@@ -224,11 +206,10 @@ func New(cfg Config) *Scheduler {
 func (s *Scheduler) Config() Config { return s.cfg }
 
 // tenant returns (creating if needed) the tenant record. Caller holds s.mu.
-func (s *Scheduler) tenant(name string) *tenantState {
+func (s *Scheduler) tenant(name string) *TenantStats {
 	ts, ok := s.tenants[name]
 	if !ok {
-		ts = &tenantState{}
-		ts.stats.LastWorker = -1
+		ts = &TenantStats{}
 		s.tenants[name] = ts
 	}
 	return ts
@@ -250,10 +231,10 @@ func (s *Scheduler) Submit(tenant string, prio Priority, fn Job) (*Handle, error
 		return nil, ErrClosed
 	}
 	ts := s.tenant(tenant)
-	if s.queued >= s.cfg.QueueDepth {
-		ts.stats.Rejected++
+	if s.q.waiting >= s.cfg.QueueDepth {
+		ts.Rejected++
 		s.stats.Rejected++
-		return nil, fmt.Errorf("%w: %d jobs queued", ErrQueueFull, s.queued)
+		return nil, fmt.Errorf("%w: %d jobs queued", ErrQueueFull, s.q.waiting)
 	}
 	j := &job{
 		tenant:   tenant,
@@ -261,87 +242,30 @@ func (s *Scheduler) Submit(tenant string, prio Priority, fn Job) (*Handle, error
 		handle:   &Handle{done: make(chan struct{})},
 		enqueued: time.Now(),
 	}
-	s.queues[prio] = append(s.queues[prio], j)
-	s.queued++
-	ts.stats.Submitted++
+	s.q.push(tenant, prio, j)
+	ts.Submitted++
 	s.stats.Submitted++
-	// Broadcast, not Signal: the cache-affine skip rule means the first
-	// worker woken may decline the job in favour of its idle preferred
-	// worker, which must itself wake to claim it.
-	s.cond.Broadcast()
+	s.cond.Signal()
 	return j.handle, nil
 }
 
-// next pops the highest-priority FIFO job runnable by worker w: the
-// tenant must be below its in-flight cap (global cap honored), and a job
-// whose tenant last ran on a *different, currently idle* worker is left
-// for that worker to claim — its caches are warm there, and leaving it
-// costs no throughput because the preferred worker is free and awake (the
-// submit/retire broadcasts wake every parked worker). If the preferred
-// worker is busy, any worker takes the job: affinity never outweighs work
-// conservation. Caller holds s.mu. Returns nil when nothing is runnable
-// by this worker right now.
-func (s *Scheduler) next(w int) *job {
-	if s.running >= s.cfg.MaxInFlight {
-		return nil
-	}
-	for p := numPriorities - 1; p >= 0; p-- {
-		q := s.queues[p]
-		for i, j := range q {
-			ts := s.tenant(j.tenant)
-			if ts.inflight >= s.cfg.TenantMaxInFlight {
-				continue // admission: tenant at cap; try later jobs
-			}
-			if pref := ts.stats.LastWorker; pref >= 0 && pref != w && s.idle[pref] {
-				continue // cache affinity: the warm worker is free; let it claim
-			}
-			// Remove in place: shift the tail down and clear the vacated
-			// slot, so a dequeue never reallocates a deep queue.
-			copy(q[i:], q[i+1:])
-			q[len(q)-1] = nil
-			s.queues[p] = q[:len(q)-1]
-			return j
-		}
-	}
-	return nil
-}
-
-// worker executes jobs until the scheduler stops. id is the worker's
-// stable index, the unit of cache affinity.
-func (s *Scheduler) worker(id int) {
+// worker executes jobs until the scheduler stops.
+func (s *Scheduler) worker() {
 	defer s.wg.Done()
 	for {
 		s.mu.Lock()
-		var j *job
-		for {
-			j = s.next(id)
-			if j != nil || s.stopped {
-				break
-			}
-			s.idle[id] = true
+		j, ok := s.q.pop()
+		for !ok && !s.stopped {
 			s.cond.Wait()
-			s.idle[id] = false
+			j, ok = s.q.pop()
 		}
-		if j == nil { // stopped with nothing runnable
+		if !ok { // stopped with nothing runnable
 			s.mu.Unlock()
 			return
 		}
-		ts := s.tenant(j.tenant)
-		ts.stats.LastWorker = id
-		s.queued--
-		s.running++
-		ts.inflight++
-		if s.queued > 0 {
-			// Claiming this job may have turned a previously-skipped job
-			// runnable-by-anyone (its preferred worker is us, and we are
-			// now busy): re-wake parked workers so none of them sits idle
-			// next to a runnable job.
-			s.cond.Broadcast()
-		}
-		if ts.inflight > ts.stats.MaxInFlight {
-			ts.stats.MaxInFlight = ts.inflight
-		}
-		ts.stats.QueueWait += time.Since(j.enqueued)
+		ts := s.tenants[j.tenant]
+		ts.MaxInFlight = max(ts.MaxInFlight, s.q.byKey[j.tenant])
+		ts.QueueWait += time.Since(j.enqueued)
 		s.mu.Unlock()
 
 		start := time.Now()
@@ -349,28 +273,25 @@ func (s *Scheduler) worker(id int) {
 
 		// Retirement order matters for observers: metering first (so a
 		// caller returning from Wait sees its job counted), then the
-		// handle, then the running slot (so Drain cannot return while
-		// any handle still reports an unfinished job).
+		// handle, then the slot (so Drain cannot return while any handle
+		// still reports an unfinished job).
 		s.mu.Lock()
-		ts.inflight--
-		ts.stats.RunTime += time.Since(start)
+		ts.RunTime += time.Since(start)
 		if err != nil {
-			ts.stats.Failed++
+			ts.Failed++
 			s.stats.Failed++
 		} else {
-			ts.stats.Completed++
+			ts.Completed++
 			s.stats.Completed++
 		}
-		// The tenant dropping below its cap may unblock its queued jobs.
-		s.cond.Broadcast()
 		s.mu.Unlock()
 
 		j.handle.err = err
 		close(j.handle.done)
 
 		s.mu.Lock()
-		s.running--
-		s.cond.Broadcast() // wake drain waiters and globally capped workers
+		s.q.done(j.tenant)
+		s.cond.Broadcast() // wake capped jobs' workers and drain waiters
 		s.mu.Unlock()
 	}
 }
@@ -405,11 +326,11 @@ func (s *Scheduler) Drain(ctx context.Context) error {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for (s.queued > 0 || s.running > 0) && ctx.Err() == nil {
+	for (s.q.waiting > 0 || s.q.running > 0) && ctx.Err() == nil {
 		s.cond.Wait()
 	}
-	if s.queued > 0 || s.running > 0 {
-		return fmt.Errorf("sched: drain: %w (%d queued, %d running)", ctx.Err(), s.queued, s.running)
+	if s.q.waiting > 0 || s.q.running > 0 {
+		return fmt.Errorf("sched: drain: %w (%d queued, %d running)", ctx.Err(), s.q.waiting, s.q.running)
 	}
 	return nil
 }
@@ -440,9 +361,9 @@ func (s *Scheduler) TenantStats(tenant string) TenantStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if ts, ok := s.tenants[tenant]; ok {
-		return ts.stats
+		return *ts
 	}
-	return TenantStats{LastWorker: -1}
+	return TenantStats{}
 }
 
 // Tenants returns the per-tenant metering records keyed by tenant name.
@@ -451,7 +372,7 @@ func (s *Scheduler) Tenants() map[string]TenantStats {
 	defer s.mu.Unlock()
 	out := make(map[string]TenantStats, len(s.tenants))
 	for name, ts := range s.tenants {
-		out[name] = ts.stats
+		out[name] = *ts
 	}
 	return out
 }

@@ -360,37 +360,3 @@ func TestStress(t *testing.T) {
 		t.Fatalf("ran %d, want %d", n.Load(), tenants*jobs)
 	}
 }
-
-// TestSchedulerNextDequeueAllocs pins the in-place dequeue in next:
-// popping the head of a 1000-deep band allocates nothing (the queue
-// shifts down instead of being copied into a fresh array) and returns
-// jobs in FIFO order. White-box: no workers run, so the test owns the
-// queue.
-func TestSchedulerNextDequeueAllocs(t *testing.T) {
-	const depth = 1000
-	cfg := Config{}
-	cfg.applyDefaults()
-	s := &Scheduler{cfg: cfg, tenants: make(map[string]*tenantState), idle: make([]bool, cfg.Workers)}
-	s.tenant("t")
-	jobs := make([]*job, depth)
-	for i := range jobs {
-		jobs[i] = &job{tenant: "t"}
-	}
-	s.queues[PriorityNormal] = append([]*job(nil), jobs...)
-	k := 0
-	allocs := testing.AllocsPerRun(100, func() {
-		s.mu.Lock()
-		j := s.next(0)
-		s.mu.Unlock()
-		if j != jobs[k] {
-			t.Fatalf("dequeue %d returned the wrong job", k)
-		}
-		k++
-	})
-	if allocs > 0 {
-		t.Errorf("next out of a %d-deep queue allocates %.1f objects, want 0", depth, allocs)
-	}
-	if got := len(s.queues[PriorityNormal]); got != depth-k {
-		t.Errorf("queue holds %d jobs after %d dequeues, want %d", got, k, depth-k)
-	}
-}

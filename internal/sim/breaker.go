@@ -131,11 +131,3 @@ func (b *Breaker) State() BreakerState { return b.state }
 
 // Trips returns how many times the circuit has opened.
 func (b *Breaker) Trips() int { return b.trips }
-
-// Reset returns the breaker to its initial closed state with zero trips.
-func (b *Breaker) Reset() {
-	b.state = BreakerClosed
-	b.consecutive = 0
-	b.until = 0
-	b.trips = 0
-}

@@ -80,7 +80,7 @@ func TestBreakerHalfOpenProbeOutcomes(t *testing.T) {
 	}
 }
 
-func TestBreakerDefaultsAndReset(t *testing.T) {
+func TestBreakerDefaults(t *testing.T) {
 	b := NewBreaker(BreakerConfig{})
 	for i := 0; i < 4; i++ {
 		if b.Failure(Time(i)) {
@@ -92,13 +92,6 @@ func TestBreakerDefaultsAndReset(t *testing.T) {
 	}
 	if until, err := b.Allow(4); err == nil || until != 4+Time(5*Millisecond) {
 		t.Fatalf("default cooldown end = %d, want %d", until, 4+Time(5*Millisecond))
-	}
-	b.Reset()
-	if b.State() != BreakerClosed || b.Trips() != 0 {
-		t.Fatal("Reset did not restore the initial state")
-	}
-	if _, err := b.Allow(0); err != nil {
-		t.Fatalf("Allow after Reset = %v", err)
 	}
 }
 
