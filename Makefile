@@ -46,12 +46,16 @@ ci: fmt-check build vet bench-test race
 
 # profile grounds hot-path claims in data. It records a CPU pprof of one
 # full suite pass (traces pre-warmed, so the profile is replay work,
-# ~5-30 s depending on scale) and one of the functional offload path
-# (BenchmarkOffloadRoundTrip on Open's default device: TEE create, reads,
-# an adopting write, teardown), and prints each one's top-10 functions.
-# Scratch outputs live under the gitignored out/ so profiling never
+# ~5-30 s depending on scale) and two of the functional offload path, and
+# prints each one's top-10 functions. out/offload.pprof is one goroutine
+# running BenchmarkOffloadRoundTrip on Open's default device (TEE create,
+# reads, an adopting write, teardown): the data path alone.
+# out/offload-burst.pprof is BenchmarkOffloadBurst, 2,000 such offloads
+# through a 2-worker sched.Scheduler per op: the data path plus the
+# scheduler's wake-ups and lock hand-offs, which one goroutine cannot
+# show. Scratch outputs live under the gitignored out/ so profiling never
 # litters the repo root. Inspect interactively with:
-# go tool pprof out/cpu.pprof (or out/offload.pprof)
+# go tool pprof out/cpu.pprof (or out/offload.pprof, out/offload-burst.pprof)
 profile:
 	@mkdir -p out
 	$(GO) run ./cmd/iceclave-bench -cpuprofile out/cpu.pprof
@@ -59,6 +63,9 @@ profile:
 	$(GO) test -run '^$$' -bench 'OffloadRoundTrip/default-geometry' -benchtime 3s \
 		-cpuprofile out/offload.pprof -o out/iceclave.test .
 	$(GO) tool pprof -top -nodecount=10 out/offload.pprof
+	$(GO) test -run '^$$' -bench 'OffloadBurst' -benchtime 3s \
+		-cpuprofile out/offload-burst.pprof -o out/iceclave.test .
+	$(GO) tool pprof -top -nodecount=10 out/offload-burst.pprof
 
 # bench-compare compares the working tree with commit BASE on this host,
 # through the repository benchmark (bench/README.md). It unpacks BASE

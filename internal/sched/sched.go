@@ -18,8 +18,11 @@
 //   - Jobs queue FIFO within three priority bands; dispatch is
 //     work-conserving: a job whose tenant is at its cap is skipped, not
 //     head-of-line blocking the band.
-//   - Graceful drain: Drain stops admission and waits for the queues and
-//     workers to empty; Close additionally stops the workers.
+//   - Graceful drain: Drain stops admission and sleeps on a condition of
+//     its own until the queues and workers are empty. Only the worker
+//     whose retirement leaves the pool idle wakes it, so a deep queue
+//     drains without waking it per job; Close additionally stops the
+//     workers.
 //   - Per-tenant metering: submissions, completions, failures,
 //     rejections, queue wait, and run time, for fairness accounting.
 //
@@ -173,7 +176,8 @@ type Scheduler struct {
 	cfg Config
 
 	mu       sync.Mutex
-	cond     *sync.Cond
+	cond     *sync.Cond // workers: a job queued, a slot freed, or stopped
+	idle     *sync.Cond // Drain: the pool emptied, or its context ended
 	q        queue[*job]
 	tenants  map[string]*TenantStats
 	stats    Stats
@@ -194,6 +198,7 @@ func New(cfg Config) *Scheduler {
 		tenants: make(map[string]*TenantStats),
 	}
 	s.cond = sync.NewCond(&s.mu)
+	s.idle = sync.NewCond(&s.mu)
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	s.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -291,7 +296,10 @@ func (s *Scheduler) worker() {
 
 		s.mu.Lock()
 		s.q.done(j.tenant)
-		s.cond.Broadcast() // wake capped jobs' workers and drain waiters
+		s.cond.Broadcast() // wake workers whose next job was capped
+		if s.q.waiting == 0 && s.q.running == 0 {
+			s.idle.Broadcast()
+		}
 		s.mu.Unlock()
 	}
 }
@@ -316,10 +324,10 @@ func (s *Scheduler) Drain(ctx context.Context) error {
 	s.draining = true
 	s.mu.Unlock()
 
-	// Wake the cond waiter when ctx dies.
+	// Wake the idle waiter when ctx dies.
 	stop := context.AfterFunc(ctx, func() {
 		s.mu.Lock()
-		s.cond.Broadcast()
+		s.idle.Broadcast()
 		s.mu.Unlock()
 	})
 	defer stop()
@@ -327,7 +335,7 @@ func (s *Scheduler) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for (s.q.waiting > 0 || s.q.running > 0) && ctx.Err() == nil {
-		s.cond.Wait()
+		s.idle.Wait()
 	}
 	if s.q.waiting > 0 || s.q.running > 0 {
 		return fmt.Errorf("sched: drain: %w (%d queued, %d running)", ctx.Err(), s.q.waiting, s.q.running)

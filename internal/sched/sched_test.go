@@ -278,6 +278,50 @@ func TestDrain(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+	// Drain sleeps until the worker retiring the last job wakes it; by
+	// then every handle must be closed and every job counted. Jobs of
+	// four tenants share one mutex, one in seven fails, and each tenant
+	// runs one job at a time on two workers, so retirements interleave.
+	t.Run("handles-closed-and-counted-at-return", func(t *testing.T) {
+		for round := 0; round < 20; round++ {
+			s := New(Config{Workers: 2, TenantMaxInFlight: 1})
+			var mu sync.Mutex
+			ran := 0
+			boom := errors.New("boom")
+			handles := make([]*Handle, 0, 64)
+			for i := 0; i < cap(handles); i++ {
+				h, err := s.Submit(fmt.Sprintf("t%d", i%4), Priority(i%3), func(context.Context) error {
+					mu.Lock()
+					defer mu.Unlock()
+					ran++
+					if ran%7 == 0 {
+						return boom
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				handles = append(handles, h)
+			}
+			if err := s.Drain(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			for i, h := range handles {
+				select {
+				case <-h.Done():
+				default:
+					t.Fatalf("round %d: handle %d still open when Drain returned", round, i)
+				}
+			}
+			if st := s.Stats(); st.Completed+st.Failed != st.Submitted || st.Submitted != int64(len(handles)) || st.Failed == 0 {
+				t.Fatalf("round %d: drained with %+v, want %d submitted, all retired, some failed", round, st, len(handles))
+			}
+			if err := s.Close(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
 	t.Run("timeout-reports-pending", func(t *testing.T) {
 		s := New(Config{Workers: 1, TenantMaxInFlight: 1, MaxInFlight: 1})
 		gate := make(chan struct{})

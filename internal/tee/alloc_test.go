@@ -5,11 +5,11 @@ import (
 )
 
 // TestReadPageAllocs pins the data-path allocation budget: the pooled
-// keystream scratch and the persistent bus buffer leave the returned
-// plaintext page as the only per-read page-sized allocation. The bound is
-// 2 allocations per read (the 4 KB plaintext plus slack for runtime
-// bookkeeping such as pool-local churn under the race detector); the
-// pre-pooling path allocated 3 page-sized buffers every call.
+// bus buffers, swapped into lastBusPage rather than copied, leave the
+// returned plaintext page as the only per-read page-sized allocation. The
+// bound is 2 allocations per read (the 4 KB plaintext plus slack for
+// runtime bookkeeping such as pool-local churn under the race detector);
+// the pre-pooling path allocated 3 page-sized buffers every call.
 func TestReadPageAllocs(t *testing.T) {
 	rt, f := testRuntime(t)
 	lpas := writePages(t, f, 4, 0x10)
@@ -32,8 +32,8 @@ func TestReadPageAllocs(t *testing.T) {
 }
 
 // TestBusSnapshotSurvivesReuse pins that LastBusTransfer copies out of the
-// reused bus buffer: a snapshot taken before another read must not change
-// when the buffer is overwritten.
+// pooled bus buffers: a snapshot taken before another read must not
+// change when that read's buffer is swapped in and the old one reused.
 func TestBusSnapshotSurvivesReuse(t *testing.T) {
 	rt, f := testRuntime(t)
 	lpas := writePages(t, f, 4, 0x10)

@@ -2,6 +2,7 @@ package tee
 
 import (
 	"errors"
+	"sync"
 	"testing"
 
 	"iceclave/internal/fault"
@@ -63,5 +64,61 @@ func TestMACFaultDeterministicStream(t *testing.T) {
 	}
 	if !sawFault {
 		t.Fatal("0.3 MAC rate produced no fault in 64 reads")
+	}
+}
+
+// TestSetFaultPlanConcurrentWithReads attaches and detaches a MAC-fault
+// plan while another goroutine reads. The plan and the per-TEE ordinals
+// are read and bumped under the runtime lock SetFaultPlan takes, so a
+// detach landing mid-read can neither race with the read (-race) nor
+// leave it writing to a detached, nil ordinal map (a panic). Every read
+// either returns the stored page or fails with ErrIntegrity, and only
+// the reads that returned a page crossed the bus.
+func TestSetFaultPlanConcurrentWithReads(t *testing.T) {
+	rt, f := testRuntime(t)
+	lpas := writePages(t, f, 4, 0x40)
+	env, err := rt.CreateTEE(Config{Binary: make([]byte, 64<<10), LPAs: lpas})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		plan := &fault.Plan{MACFail: 0.5}
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			rt.SetFaultPlan(plan)
+			rt.SetFaultPlan(nil)
+		}
+	}()
+	before := rt.Stats().BusPages
+	var read int64
+	for i := 0; i < 2000; i++ {
+		page, err := rt.ReadPage(env, lpas[i%4])
+		if err != nil {
+			if !errors.Is(err, ErrIntegrity) {
+				close(stop)
+				wg.Wait()
+				t.Fatalf("read %d: unexpected error %v", i, err)
+			}
+			continue
+		}
+		if want := byte(0x40 + i%4); page[0] != want {
+			close(stop)
+			wg.Wait()
+			t.Fatalf("read %d: page[0] = %#x, want %#x", i, page[0], want)
+		}
+		read++
+	}
+	close(stop)
+	wg.Wait()
+	if got := rt.Stats().BusPages - before; got != read {
+		t.Fatalf("%d pages crossed the bus for %d successful reads", got, read)
 	}
 }

@@ -23,7 +23,6 @@
 package tee
 
 import (
-	"crypto/subtle"
 	"errors"
 	"fmt"
 	"sync"
@@ -282,17 +281,16 @@ type Runtime struct {
 	heapFree uint64 // total free bytes across freeHeap
 	stats    Stats
 
-	// lastBusPage is the ciphertext most recently observed on the bus. It
-	// is a persistent buffer overwritten in place under r.mu on every data
-	// transfer (LastBusTransfer hands out copies), so recording bus
-	// traffic allocates nothing per read.
+	// lastBusPage is the ciphertext most recently observed on the bus
+	// (LastBusTransfer hands out copies). ReadPage encrypts each page
+	// into a buffer from busPages outside r.mu, then swaps it in here
+	// under r.mu and returns the buffer it replaced to the pool, so
+	// recording bus traffic copies and allocates nothing per read.
 	lastBusPage []byte
 
-	// pageScratch pools keystream/ciphertext working buffers for the data
-	// path: ReadPage borrows one page-sized buffer per call outside the
-	// runtime lock, so concurrent TEEs share a small steady-state pool
-	// instead of allocating two pages per read.
-	pageScratch sync.Pool
+	// busPages pools page-sized bus buffers, so concurrent TEEs share a
+	// small steady-state set instead of allocating one per read.
+	busPages sync.Pool
 
 	// faults, when non-nil, injects deterministic MAC-verification
 	// failures on the ReadPage data path; macOps counts each TEE's
@@ -375,7 +373,7 @@ func NewRuntime(f *ftl.FTL, opts Options) (*Runtime, error) {
 		heapFree: opts.DRAMBytes - normalBase,
 	}
 	pageSize := int(f.Device().Geometry().PageSize)
-	rt.pageScratch.New = func() any {
+	rt.busPages.New = func() any {
 		buf := make([]byte, pageSize)
 		return &buf
 	}
@@ -641,19 +639,21 @@ func (r *Runtime) endOp(t *TEE) {
 // through the protected-region mapping cache. A cache hit resolves in the
 // normal world with a permission check only; a miss pays the world-switch
 // round trip while the FTL loads the mapping page (Figure 9 steps 4–5).
-// A permission violation aborts the TEE.
-func (r *Runtime) ReadMappingEntry(t *TEE, lpa ftl.LPA) (uint64, error) {
+// A permission violation aborts the TEE. It also returns, read in the
+// same critical section, the runtime clock once the translation is
+// charged: the time a data-path read of the page starts at.
+func (r *Runtime) ReadMappingEntry(t *TEE, lpa ftl.LPA) (ppa uint64, at sim.Time, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if ok, msg := t.running(); !ok {
-		return 0, fmt.Errorf("%w: %s", ErrAborted, msg)
+		return 0, 0, fmt.Errorf("%w: %s", ErrAborted, msg)
 	}
-	ppa, err := r.ftl.TranslateFor(lpa, t.eid)
+	p, err := r.ftl.TranslateFor(lpa, t.eid)
 	if err != nil {
 		if errors.Is(err, ftl.ErrAccessDenied) {
 			r.throwOut(t, fmt.Sprintf("access-control violation on LPA %d", lpa))
 		}
-		return 0, err
+		return 0, 0, err
 	}
 	if r.cmt.Lookup(lpa) {
 		r.stats.CMTHits++
@@ -664,7 +664,7 @@ func (r *Runtime) ReadMappingEntry(t *TEE, lpa ftl.LPA) (uint64, error) {
 		r.now = r.monitor.RoundTrip(r.now)
 		r.now += r.ftl.Device().Timing().ReadLatency
 	}
-	return uint64(ppa), nil
+	return uint64(p), r.now, nil
 }
 
 // ReadPage reads lpa on behalf of TEE t through the full §4.6 data path:
@@ -675,18 +675,18 @@ func (r *Runtime) ReadMappingEntry(t *TEE, lpa ftl.LPA) (uint64, error) {
 // The flash access and the cipher work run outside the runtime lock, so
 // concurrent TEEs overlap their data paths; ownership is re-validated
 // inside the FTL critical section, which also pins the PPA the cipher IV
-// binds to.
+// binds to. The runtime lock is taken twice: for the translation, and
+// once after the cipher to merge the clock, draw the MAC-fault verdict
+// and publish the bus page.
 func (r *Runtime) ReadPage(t *TEE, lpa ftl.LPA) ([]byte, error) {
 	if ok, msg := t.beginOp(); !ok {
 		return nil, fmt.Errorf("%w: %s", ErrAborted, msg)
 	}
 	defer r.endOp(t)
-	if _, err := r.ReadMappingEntry(t, lpa); err != nil {
+	_, at, err := r.ReadMappingEntry(t, lpa)
+	if err != nil {
 		return nil, err
 	}
-	r.mu.Lock()
-	at := r.now
-	r.mu.Unlock()
 	done, ppa, data, err := r.ftl.ReadFor(at, lpa, t.eid)
 	if err != nil {
 		if errors.Is(err, ftl.ErrAccessDenied) {
@@ -696,48 +696,43 @@ func (r *Runtime) ReadPage(t *TEE, lpa ftl.LPA) ([]byte, error) {
 		}
 		return nil, err
 	}
-	if r.faults != nil {
-		r.mu.Lock()
-		n := r.macOps[t.eid]
-		r.macOps[t.eid] = n + 1
-		if done > r.now {
-			r.now = done
-		}
-		r.mu.Unlock()
-		if r.faults.MACFault(int(t.eid), n) {
-			// The page reached DRAM but its MAC does not verify: a typed
-			// integrity error, never silent success.
-			return nil, fmt.Errorf("tee: LPA %d for TEE %d: %w: %w", lpa, t.eid, ErrIntegrity, mee.ErrIntegrity)
-		}
-	}
-	// The flash controller encrypts the page with the PPA-bound IV; only
-	// ciphertext crosses the bus; the DRAM-side engine decrypts with the
-	// same keystream. Both sides derive the identical PPA-bound pad, so
-	// the runtime generates it once through the bulk API and applies it
-	// twice instead of paying the cipher warm-up per side.
-	//
-	// The only per-read allocation is the returned plaintext (the caller
-	// owns it): the keystream buffer — which becomes the bus ciphertext
-	// in place — is pooled, and the bus snapshot is copied into the
-	// persistent lastBusPage buffer under the lock.
-	pageSize := r.ftl.Device().Geometry().PageSize
-	page := make([]byte, pageSize)
-	copy(page, data)
-	ksp := r.pageScratch.Get().(*[]byte)
-	ks := *ksp
-	r.cipher.KeystreamPage(uint32(ppa), ks)
-	subtle.XORBytes(ks, ks, page) // flash-side encryption onto the bus, in place
+	// The flash controller encrypts the page with the PPA-bound IV and
+	// only ciphertext crosses the bus: one pass writes payload XOR
+	// keystream, then bare keystream over the page's zero tail, into a
+	// pooled bus buffer.
+	bus := r.busPages.Get().(*[]byte)
+	r.cipher.EncryptPageTo(uint32(ppa), *bus, data)
 	r.mu.Lock()
 	if done > r.now {
 		r.now = done
 	}
-	if len(r.lastBusPage) != int(pageSize) {
-		r.lastBusPage = make([]byte, pageSize)
+	// The fault plan and the per-TEE MAC ordinals are read and bumped
+	// under the lock SetFaultPlan takes.
+	macFault := false
+	if r.faults != nil {
+		n := r.macOps[t.eid]
+		r.macOps[t.eid] = n + 1
+		macFault = r.faults.MACFault(int(t.eid), n)
 	}
-	copy(r.lastBusPage, ks)
-	r.stats.BusPages++
+	if !macFault {
+		r.lastBusPage, *bus = *bus, r.lastBusPage
+		r.stats.BusPages++
+	}
 	r.mu.Unlock()
-	r.pageScratch.Put(ksp)
+	if *bus != nil { // nil only for the first page swapped in
+		r.busPages.Put(bus)
+	}
+	if macFault {
+		// The page reached DRAM but its MAC does not verify: a typed
+		// integrity error, never silent success, and no bus transfer.
+		return nil, fmt.Errorf("tee: LPA %d for TEE %d: %w: %w", lpa, t.eid, ErrIntegrity, mee.ErrIntegrity)
+	}
+	// The DRAM-side engine decrypts with the same keystream, which gives
+	// back the page flash stored: the payload, zero-extended to the page.
+	// That plaintext, which the caller owns, is the only per-read
+	// allocation.
+	page := make([]byte, r.ftl.Device().Geometry().PageSize)
+	copy(page, data)
 	return page, nil
 }
 

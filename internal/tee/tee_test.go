@@ -285,7 +285,7 @@ func TestSequentialScanCMTMissRateLow(t *testing.T) {
 	lpas := writePages(t, f, n, 0x00)
 	tee, _ := rt.CreateTEE(Config{Binary: []byte{1}, LPAs: lpas})
 	for _, l := range lpas {
-		if _, err := rt.ReadMappingEntry(tee, l); err != nil {
+		if _, _, err := rt.ReadMappingEntry(tee, l); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -64,24 +64,24 @@ func (e *Engine) IVFor(ppa uint32) [IVSize]byte {
 // EncryptPage XORs the page in place with the keystream derived from the
 // device key and the page's PPA-bound IV. Decryption is the same
 // operation, so DecryptPage is an alias kept for readable call sites.
-func (e *Engine) EncryptPage(ppa uint32, page []byte) {
-	iv := e.IVFor(ppa)
-	var c Cipher
-	c.Reset(e.key[:], iv[:])
-	c.XORKeyStream(page, page)
-}
+func (e *Engine) EncryptPage(ppa uint32, page []byte) { e.EncryptPageTo(ppa, page, page) }
 
-// KeystreamPage fills dst with the keystream EncryptPage would XOR into a
-// page at ppa. Callers that need both the bus ciphertext and the plaintext
-// of the same page (the §4.6 read path encrypts at the flash side and
-// decrypts at the DRAM side with the same IV) generate the keystream once
-// through this bulk API and apply it twice, instead of running the cipher
-// warm-up and keystream twice per page.
-func (e *Engine) KeystreamPage(ppa uint32, dst []byte) {
+// EncryptPageTo encrypts, in one pass, the page at ppa whose contents are
+// src zero-extended to len(dst) — a flash page holding a payload shorter
+// than the page — into dst: dst[:len(src)] = src XOR keystream, and the
+// rest of dst is bare keystream, which is what the page's zero tail
+// encrypts to. The §4.6 read path writes the bus ciphertext this way,
+// straight from the flash payload into the bus buffer. dst and src may be
+// the same slice; it panics if src is longer than dst.
+func (e *Engine) EncryptPageTo(ppa uint32, dst, src []byte) {
+	if len(src) > len(dst) {
+		panic("trivium: page payload longer than the page")
+	}
 	iv := e.IVFor(ppa)
 	var c Cipher
 	c.Reset(e.key[:], iv[:])
-	c.Keystream(dst)
+	c.XORKeyStream(dst, src)
+	c.Keystream(dst[len(src):])
 }
 
 // DecryptPage reverses EncryptPage for the same PPA and epoch.

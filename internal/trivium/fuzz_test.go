@@ -54,7 +54,10 @@ func FuzzKeystreamRoundTrip(f *testing.F) {
 
 // FuzzEnginePageRoundTrip drives the flash-controller engine with
 // arbitrary PPAs, IV bases, and page contents: DecryptPage must invert
-// EncryptPage, and the PPA-bound IV must differ across pages.
+// EncryptPage, the PPA-bound IV must differ across pages, and the
+// one-pass EncryptPageTo of the payload into a longer page must equal the
+// bit-serial Reference's encryption of the zero-extended page under the
+// same IV.
 func FuzzEnginePageRoundTrip(f *testing.F) {
 	f.Add(uint32(0), uint64(0x1CEC1A7E0001), []byte("page zero"))
 	f.Add(uint32(0xFFFFFFFF), uint64(0), []byte{0x00, 0xFF, 0x55})
@@ -71,6 +74,18 @@ func FuzzEnginePageRoundTrip(f *testing.F) {
 		// page must get a different IV (and hence keystream).
 		if e.IVFor(ppa) == e.IVFor(ppa+1) {
 			t.Fatalf("IV collision between PPA %d and %d", ppa, ppa+1)
+		}
+		// One pass into a page 0-63 bytes longer than the payload, its
+		// start at an unaligned offset.
+		bus := make([]byte, len(data)+int(ppa%64)+1)[1:]
+		e.EncryptPageTo(ppa, bus, data)
+		padded := make([]byte, len(bus))
+		copy(padded, data)
+		iv := e.IVFor(ppa)
+		want := make([]byte, len(bus))
+		NewReference([]byte("iceclave-k"), iv[:]).XORKeyStream(want, padded)
+		if !bytes.Equal(bus, want) {
+			t.Fatalf("EncryptPageTo at PPA %d diverged from the bit-serial encryption of the zero-extended page", ppa)
 		}
 	})
 }

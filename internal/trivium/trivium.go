@@ -16,7 +16,9 @@
 //     64-bits-per-cycle hardware pipeline the paper describes. Trivium's
 //     tap positions were chosen by its designers so that up to 64
 //     consecutive clocks never feed a batch-computed bit back into a tap,
-//     which is exactly the property the word engine exploits.
+//     which is exactly the property the word engine exploits. Its
+//     registers are stored mirrored (newest bit lowest), so each batch
+//     stored big-endian is the MSB-first keystream with no bit reversal.
 //   - Reference is the spec-literal bit-at-a-time network, kept as the
 //     differential oracle the word engine is tested against.
 //
@@ -48,10 +50,14 @@ const warmupBatches = warmupRounds / 64
 //
 // Representation: instead of shifting a 288-bit state one position per
 // output bit, each of the three registers (A: 93 bits, B: 84 bits, C: 111
-// bits) is stored as the last 128 bits of its feedback stream, packed into
-// two uint64 words oldest-first. Register position p (1 = the bit inserted
-// most recently) of the spec state is stream bit T-p, so every tap becomes
-// a 64-bit window extraction and one state update emits 64 keystream bits.
+// bits) is stored as the last 128 bits of its feedback stream in two
+// uint64 words, mirrored: bit i of w1 is register position i+1 (bit 0 is
+// the bit inserted most recently) and bit i of w0 is position i+65, so the
+// pair read as one 128-bit number (w0 high) has position p at bit p-1.
+// Every tap is then a 64-bit window extraction whose bit 63 is what the
+// tap reads at a batch's first clock, one state update emits 64 keystream
+// bits with the first in bit 63, and a big-endian store of the batch is
+// already the MSB-first byte stream: no bit reversal on the output path.
 // The smallest tap position is s66 (66 > 64), so none of the 64 bits
 // computed in a batch is an input to that same batch — the parallelization
 // headroom Trivium's designers built into the tap layout.
@@ -62,8 +68,8 @@ const warmupBatches = warmupRounds / 64
 //
 // Cipher is not safe for concurrent use; each simulated engine owns one.
 type Cipher struct {
-	// Per register: w0 holds stream bits T-128..T-65 and w1 holds
-	// T-64..T-1, each packed with the oldest bit in bit 0.
+	// Per register, mirrored: w1 holds positions 1..64 and w0 positions
+	// 65..128, each with the lower position in the lower bit.
 	a0, a1 uint64 // register A (93 bits of history used)
 	b0, b1 uint64 // register B (84 bits)
 	c0, c1 uint64 // register C (111 bits)
@@ -87,58 +93,71 @@ func New(key, iv []byte) *Cipher {
 }
 
 // Reset re-initializes the cipher with a new key and IV, performing the
-// 1152-round warm-up (18 word batches). The spec loads key bit i at state
-// position i+1, IV bit i at position 94+i, and sets the last three C bits;
-// in stream coordinates (w1 bit j = position 64-j, w0 bit j = position
-// 128-j) that is a big-endian load of the first 8 key/IV bytes into w1 and
-// of the last 2 bytes into the top of w0.
+// 1152-round warm-up (18 word batches). The spec loads key bit i
+// (MSB-first) at s(i+1), position i+1 of register A, IV bit i at s(94+i),
+// position i+1 of register B, and sets the last three C bits. In the
+// mirrored layout position i+1 is bit i of w1 and position 65+i bit i of
+// w0, so the first 8 key/IV bytes load into w1 and the last 2 into the
+// bottom of w0, each bit-reversed once here: loading is the only place
+// the bit order flips.
 func (c *Cipher) Reset(key, iv []byte) {
 	if len(key) != KeySize || len(iv) != IVSize {
 		panic("trivium: key and IV must be 10 bytes")
 	}
-	c.a1 = binary.BigEndian.Uint64(key[0:8])
-	c.a0 = uint64(binary.BigEndian.Uint16(key[8:10])) << 48
-	c.b1 = binary.BigEndian.Uint64(iv[0:8])
-	c.b0 = uint64(binary.BigEndian.Uint16(iv[8:10])) << 48
+	c.a1 = bits.Reverse64(binary.BigEndian.Uint64(key[0:8]))
+	c.a0 = uint64(bits.Reverse16(binary.BigEndian.Uint16(key[8:10])))
+	c.b1 = bits.Reverse64(binary.BigEndian.Uint64(iv[0:8]))
+	c.b0 = uint64(bits.Reverse16(binary.BigEndian.Uint16(iv[8:10])))
 	c.c1 = 0
-	c.c0 = 7 << 17 // positions 109, 110, 111 of register C set to one
-	for i := 0; i < warmupBatches; i++ {
-		c.next64()
-	}
+	c.c0 = 7 << 44 // positions 109, 110, 111 of register C set to one
+	var discard [warmupBatches * 8]byte
+	c.stream(discard[:], nil)
 	c.pos = len(c.buf)
 }
 
-// ext extracts the 64-bit tap window for register position p: result bit k
-// is the bit at position p-k of the register when the batch started, i.e.
-// the value tap p reads at clock k of the batch. Valid for 65 <= p <= 127.
-func ext(w0, w1 uint64, p uint) uint64 {
-	o := 128 - p
-	return w0>>o | w1<<(64-o)
+// tap extracts the 64-bit window of register position p (65 <= p <= 127)
+// from a mirrored register: bit m is the bit at position p-63+m when the
+// batch started, so bit 63-k is the value tap p reads at clock k of the
+// batch.
+func tap(w0, w1 uint64, p uint) uint64 {
+	s := p - 64
+	return w1>>s | w0<<(64-s)
 }
 
-// next64 advances the state one batch and returns the next 64 keystream
-// bits, bit k of the result being keystream bit k of the batch. The tap
+// stream runs len(dst)/8 state-update batches and stores each batch's 64
+// keystream bits big-endian into the next 8 bytes of dst, XORed with the
+// same 8 bytes of src when src is non-nil (src then has dst's length).
+// The warm-up, Keystream and XORKeyStream all run this one loop, which
+// keeps the six state words in locals and writes them back once. The tap
 // positions are the spec's s-indices mapped into registers: A = s1..s93,
-// B = s94..s177, C = s178..s288.
-func (c *Cipher) next64() uint64 {
-	a66, a93 := ext(c.a0, c.a1, 66), ext(c.a0, c.a1, 93)
-	b69, b84 := ext(c.b0, c.b1, 69), ext(c.b0, c.b1, 84)
-	c66, c111 := ext(c.c0, c.c1, 66), ext(c.c0, c.c1, 111)
-	z := a66 ^ a93 ^ b69 ^ b84 ^ c66 ^ c111
-	t1 := a66 ^ ext(c.a0, c.a1, 91)&ext(c.a0, c.a1, 92) ^ a93 ^ ext(c.b0, c.b1, 78)
-	t2 := b69 ^ ext(c.b0, c.b1, 82)&ext(c.b0, c.b1, 83) ^ b84 ^ ext(c.c0, c.c1, 87)
-	t3 := c66 ^ ext(c.c0, c.c1, 109)&ext(c.c0, c.c1, 110) ^ c111 ^ ext(c.a0, c.a1, 69)
-	c.a0, c.a1 = c.a1, t3
-	c.b0, c.b1 = c.b1, t1
-	c.c0, c.c1 = c.c1, t2
-	return z
+// B = s94..s177, C = s178..s288; the terms are grouped as in the spec
+// (and Reference.clock), which keeps few temporaries live.
+func (c *Cipher) stream(dst, src []byte) {
+	a0, a1, b0, b1, c0, c1 := c.a0, c.a1, c.b0, c.b1, c.c0, c.c1
+	for len(dst) >= 8 {
+		t1 := tap(a0, a1, 66) ^ tap(a0, a1, 93)
+		t2 := tap(b0, b1, 69) ^ tap(b0, b1, 84)
+		t3 := tap(c0, c1, 66) ^ tap(c0, c1, 111)
+		z := t1 ^ t2 ^ t3
+		t1 ^= tap(a0, a1, 91)&tap(a0, a1, 92) ^ tap(b0, b1, 78)
+		t2 ^= tap(b0, b1, 82)&tap(b0, b1, 83) ^ tap(c0, c1, 87)
+		t3 ^= tap(c0, c1, 109)&tap(c0, c1, 110) ^ tap(a0, a1, 69)
+		a0, a1 = a1, t3
+		b0, b1 = b1, t1
+		c0, c1 = c1, t2
+		if src != nil {
+			z ^= binary.BigEndian.Uint64(src)
+			src = src[8:]
+		}
+		binary.BigEndian.PutUint64(dst, z)
+		dst = dst[8:]
+	}
+	c.a0, c.a1, c.b0, c.b1, c.c0, c.c1 = a0, a1, b0, b1, c0, c1
 }
 
-// refill generates the next batch into the byte buffer. Keystream bit k of
-// a batch is the MSB-first bit k of the output, so the batch word (bit k at
-// position k) is bit-reversed and stored big-endian.
+// refill generates the next batch into the byte buffer.
 func (c *Cipher) refill() {
-	binary.BigEndian.PutUint64(c.buf[:], bits.Reverse64(c.next64()))
+	c.stream(c.buf[:], nil)
 	c.pos = 0
 }
 
@@ -162,14 +181,11 @@ func (c *Cipher) Keystream(dst []byte) {
 		c.pos++
 		dst = dst[1:]
 	}
-	for len(dst) >= 8 {
-		binary.BigEndian.PutUint64(dst, bits.Reverse64(c.next64()))
-		dst = dst[8:]
-	}
-	if len(dst) > 0 {
+	whole := len(dst) &^ 7
+	c.stream(dst[:whole], nil)
+	if tail := dst[whole:]; len(tail) > 0 {
 		c.refill()
-		n := copy(dst, c.buf[:])
-		c.pos = n
+		c.pos = copy(tail, c.buf[:])
 	}
 }
 
@@ -186,18 +202,13 @@ func (c *Cipher) XORKeyStream(dst, src []byte) {
 		dst = dst[1:]
 		src = src[1:]
 	}
-	for len(src) >= 8 {
-		v := binary.LittleEndian.Uint64(src)
-		ks := bits.ReverseBytes64(bits.Reverse64(c.next64()))
-		binary.LittleEndian.PutUint64(dst, v^ks)
-		dst = dst[8:]
-		src = src[8:]
-	}
-	if len(src) > 0 {
+	whole := len(src) &^ 7
+	c.stream(dst[:whole], src[:whole])
+	if tail := src[whole:]; len(tail) > 0 {
 		c.refill()
-		for i, v := range src {
-			dst[i] = v ^ c.buf[i]
+		for i, v := range tail {
+			dst[whole+i] = v ^ c.buf[i]
 		}
-		c.pos = len(src)
+		c.pos = len(tail)
 	}
 }
