@@ -64,11 +64,9 @@ type Config struct {
 	// FlashTiming holds tRD/tPROG/tERS and per-channel bandwidth
 	// (Figure 14 sweeps ReadLatency).
 	FlashTiming flash.Timing
-	// DRAMBytes is controller DRAM capacity (Figure 16 sweep).
+	// DRAMBytes is controller DRAM capacity (Figure 16 sweep); half of it
+	// caches flash pages for in-storage programs.
 	DRAMBytes uint64
-	// PageCacheFraction is the share of controller DRAM caching flash
-	// pages for in-storage programs.
-	PageCacheFraction float64
 	// StorageCore is the in-storage processor (Figure 15 sweep).
 	StorageCore cpu.Core
 	// StorageCores is the controller core count for multi-tenancy.
@@ -100,8 +98,9 @@ type Config struct {
 	MEESampling int
 	// MEEExposure is the fraction of the extra metadata-traffic time that
 	// lands on the critical path; the rest is hidden by memory-level
-	// parallelism. Calibrated so IceClave's overhead vs ISC averages in
-	// the paper's 7.6% band.
+	// parallelism. At 0.5, Figure 11 prints IceClave's overhead over ISC
+	// as 4.61%, against the paper's 7.6%; ROADMAP direction 7 records the
+	// gap.
 	MEEExposure float64
 	// PrefetchWindow is the number of outstanding flash reads the
 	// in-storage runtime keeps in flight.
@@ -116,30 +115,11 @@ type Config struct {
 	// wait is reported in Result.QueueDelay. 0 disables admission control:
 	// every tenant is granted at its arrival instant.
 	AdmissionSlots int
-	// AdmissionTenantSlots caps concurrently admitted replays per tenant
-	// (trace) name, the virtual-time form of sched.Config.
-	// TenantMaxInFlight. 0 means unlimited.
-	AdmissionTenantSlots int
-	// AdmissionQuantum, when positive, switches RunMulti's admission gate
-	// to batched grants: queued tenants are admitted only at multiples of
-	// the quantum on the virtual clock (controller firmware amortizing
-	// scheduling work over a periodic timer), instead of a dispatch pass
-	// on every release. 0 keeps per-release dispatch.
-	AdmissionQuantum sim.Duration
-	// AdmissionBatch caps tenants admitted per quantum tick; 0 means the
-	// tick admits everything capacity allows. Ignored unless
-	// AdmissionQuantum is set.
-	AdmissionBatch int
-	// AdmissionQuantumFloor, when positive (and AdmissionQuantum is set),
-	// makes the batched-grant tick adaptive: each armed tick uses period
-	// max(AdmissionQuantum/(1+queued), AdmissionQuantumFloor), so the gate
-	// schedules lazily when idle and approaches per-release latency as the
-	// queue deepens. It is sched.GateConfig.Floor.
-	AdmissionQuantumFloor sim.Duration
 	// ArrivalSchedule, when non-nil, plays a trace back through RunMulti:
 	// tenant i arrives at Submissions[i].At with that entry's priority
 	// band (0..2, low to high) and tenant key (the trace name when the
-	// entry's key is empty), instead of every tenant at t=0 with
+	// entry's key is empty; tenants sharing a key share a circuit breaker
+	// under a FaultPlan), instead of every tenant at t=0 with
 	// PriorityNormal. The schedule must have exactly one submission per
 	// trace. Each tenant's QueueDelay and Total then count from its
 	// scheduled arrival — the pre-arrival idle of a late arrival is not
@@ -152,38 +132,14 @@ type Config struct {
 	// into the replay: flash read/program faults and die deaths through
 	// the device's injection seam, MAC-verification failures on the
 	// IceClave read path, with recovery (FTL retries and bad-block
-	// remapping, per-step retry/backoff, per-tenant circuit breaking)
-	// threaded through every layer. The zero value (nil) injects nothing
-	// and reproduces the fault-free replay bit-identically — as does a
-	// non-nil plan whose rates are all zero. Like ArrivalSchedule, a
-	// pointer keeps Config comparable for the experiment suite's memo
-	// keys: two configs share a key only when they share the plan
-	// instance.
+	// remapping, per-step retry with capped exponential backoff, a
+	// circuit breaker per tenant key) threaded through every layer. The
+	// zero value (nil) injects nothing and reproduces the fault-free
+	// replay bit-identically — as does a non-nil plan whose rates are all
+	// zero. Like ArrivalSchedule, a pointer keeps Config comparable for
+	// the experiment suite's memo keys: two configs share a key only when
+	// they share the plan instance.
 	FaultPlan *fault.Plan
-	// FaultRetryLimit bounds the retries per offload step before the
-	// tenant's replay fails permanently. 0 means the default (16); < 0
-	// disables step retries entirely.
-	FaultRetryLimit int
-	// FaultBackoff is the virtual-time delay before a failed step's first
-	// retry; each subsequent retry doubles it, capped at FaultBackoffCap.
-	// 0 means the default (100 µs).
-	FaultBackoff sim.Duration
-	// FaultBackoffCap caps the exponential backoff growth. 0 means the
-	// default (2 ms).
-	FaultBackoffCap sim.Duration
-	// BreakerFailures is the consecutive-failure count that trips a
-	// tenant's circuit breaker. 0 means the default (5); < 0 disables
-	// circuit breaking.
-	BreakerFailures int
-	// BreakerCooldown is the virtual time a tripped breaker stays open
-	// before granting its half-open probe. 0 means the default (5 ms).
-	BreakerCooldown sim.Duration
-	// OffloadTimeout is the per-tenant virtual deadline measured from the
-	// offload's admission grant: a fault observed past it fails the
-	// offload instead of retrying. 0 means no deadline. It is only
-	// consulted on the failure path, so a zero-fault replay never
-	// observes it.
-	OffloadTimeout sim.Duration
 	// Seed feeds address-synthesis randomness.
 	Seed uint64
 }
@@ -195,7 +151,6 @@ func DefaultConfig() Config {
 		Channels:          8,
 		FlashTiming:       flash.DefaultTiming(),
 		DRAMBytes:         4 << 30,
-		PageCacheFraction: 0.5,
 		StorageCore:       cpu.CortexA72,
 		StorageCores:      4,
 		HostCore:          cpu.HostI7,

@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"iceclave/internal/fault"
+	"iceclave/internal/sched"
 	"iceclave/internal/sim"
+	"iceclave/internal/trace"
 	"iceclave/internal/workload"
 )
 
@@ -126,8 +128,6 @@ func TestBreakerTripsUnderSustainedFaults(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.AdmissionSlots = 2
 	cfg.FaultPlan = &fault.Plan{Seed: 3, ReadTransient: 0.6}
-	cfg.FaultRetryLimit = 64
-	cfg.BreakerFailures = 2
 	results, _, err := RunMultiStats(traces, ModeIceClave, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -141,19 +141,19 @@ func TestBreakerTripsUnderSustainedFaults(t *testing.T) {
 		t.Error("sustained 60% transient rate produced no step retries")
 	}
 	if totalTrips == 0 {
-		t.Error("sustained faults with a 2-failure breaker never tripped")
+		t.Error("sustained faults never tripped a breaker")
 	}
 }
 
-// An exhausted retry budget fails the offload instead of hanging: with
-// retries disabled and a certain fault, every tenant fails fast and the
-// run still terminates with released admission slots.
+// An exhausted retry budget fails the offload instead of hanging: under a
+// certain fault every tenant's first read step spends exactly the
+// maxStepRetries budget, then fails, and the run still terminates with
+// released admission slots.
 func TestRetryBudgetExhaustionFailsOffload(t *testing.T) {
 	traces := faultMix(t)
 	cfg := DefaultConfig()
 	cfg.AdmissionSlots = 1 // failures must release slots or this deadlocks
 	cfg.FaultPlan = &fault.Plan{Seed: 1, ReadTransient: 1}
-	cfg.FaultRetryLimit = -1
 	// FTL-level retries all fail too (rate 1), so every read step faults.
 	results, _, err := RunMultiStats(traces, ModeIceClave, cfg)
 	if err != nil {
@@ -161,35 +161,14 @@ func TestRetryBudgetExhaustionFailsOffload(t *testing.T) {
 	}
 	for i, r := range results {
 		if !r.Failed {
-			t.Errorf("tenant %d (%s): survived a 100%% fault rate with no retries", i, r.Workload)
+			t.Errorf("tenant %d (%s): survived a 100%% fault rate", i, r.Workload)
+		}
+		if r.Retries != 16 {
+			t.Errorf("tenant %d (%s): %d retries, want the 16-retry budget", i, r.Workload, r.Retries)
 		}
 		if r.Total <= 0 {
 			t.Errorf("tenant %d: non-positive total %v", i, r.Total)
 		}
-	}
-}
-
-// The offload deadline fails a faulting tenant once its virtual clock
-// passes granted+Timeout.
-func TestOffloadTimeoutFailsSlowTenant(t *testing.T) {
-	traces := faultMix(t)
-	cfg := DefaultConfig()
-	cfg.AdmissionSlots = 2
-	cfg.FaultPlan = &fault.Plan{Seed: 2, ReadTransient: 0.9}
-	cfg.FaultRetryLimit = 1 << 20 // budget effectively unlimited
-	cfg.OffloadTimeout = 500 * sim.Microsecond
-	results, err := RunMulti(traces, ModeIceClave, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	failed := 0
-	for _, r := range results {
-		if r.Failed {
-			failed++
-		}
-	}
-	if failed == 0 {
-		t.Error("90% fault rate with a 500µs deadline failed no tenant")
 	}
 }
 
@@ -202,8 +181,6 @@ func TestBreakerStateNoLeakAcrossPooledReuse(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.AdmissionSlots = 2
 	cfg.FaultPlan = &fault.Plan{Seed: 3, ReadTransient: 0.6}
-	cfg.FaultRetryLimit = 64
-	cfg.BreakerFailures = 2
 
 	ResetPool()
 	defer ResetPool()
@@ -240,6 +217,46 @@ func TestBreakerStateNoLeakAcrossPooledReuse(t *testing.T) {
 		}
 	}
 
+}
+
+// TestBackoffFor pins the step-retry delays: 100 µs doubling per attempt,
+// capped at 2 ms.
+func TestBackoffFor(t *testing.T) {
+	for attempt, want := range []sim.Duration{100, 200, 400, 800, 1600, 2000, 2000} {
+		if got := backoffFor(attempt); got != want*sim.Microsecond {
+			t.Errorf("backoffFor(%d) = %v, want %v", attempt, got, want*sim.Microsecond)
+		}
+	}
+	if got := backoffFor(maxStepRetries); got != stepBackoffCap {
+		t.Errorf("backoffFor(%d) = %v, want the %v cap", maxStepRetries, got, stepBackoffCap)
+	}
+}
+
+// TestBreakersSharedByName pins that tenants sharing an arrival key share
+// one circuit breaker. Two instances of one trace replay under the same
+// hostile plan, once with the default key (the trace name) and once with
+// distinct ArrivalSchedule tenant keys; the key feeds nothing but the
+// breaker, so the two runs differ only if the breaker is shared.
+func TestBreakersSharedByName(t *testing.T) {
+	a := recordTrace(t, "Filter")
+	traces := []*workload.Trace{a, a}
+	cfg := DefaultConfig()
+	cfg.FaultPlan = &fault.Plan{Seed: 3, ReadTransient: 0.6}
+	shared, err := RunMulti(traces, ModeIceClave, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.ArrivalSchedule = &trace.Schedule{Submissions: []trace.Submission{
+		{Band: int(sched.PriorityNormal), Tenant: "t0"},
+		{Band: int(sched.PriorityNormal), Tenant: "t1"},
+	}}
+	split, err := RunMulti(traces, ModeIceClave, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shared[0] == split[0] && shared[1] == split[1] {
+		t.Fatal("shared and split tenant keys replay identically: the breaker is not shared by key")
+	}
 }
 
 // A plan whose scripted deaths fall outside the device geometry is

@@ -28,9 +28,9 @@ type Result struct {
 	Total sim.Duration
 	// QueueDelay is the simulated time the tenant waited for admission
 	// between its arrival and its grant — nonzero only under RunMulti
-	// with Config.AdmissionSlots / AdmissionTenantSlots caps set. Under
-	// an ArrivalSchedule the wait counts from the scheduled arrival, so a
-	// late arrival's pre-arrival idle is never queueing delay.
+	// with a Config.AdmissionSlots cap set. Under an ArrivalSchedule the
+	// wait counts from the scheduled arrival, so a late arrival's
+	// pre-arrival idle is never queueing delay.
 	QueueDelay sim.Duration
 	// LoadTime is time stalled on storage I/O (flash and, on the host
 	// path, PCIe).
@@ -57,7 +57,7 @@ type Result struct {
 	// opened during the replay.
 	BreakerTrips int
 	// Failed reports that the replay gave up before draining its trace:
-	// the retry budget or offload deadline was exhausted. Total then
+	// a step failed again after maxStepRetries retries. Total then
 	// measures arrival to the failure instant.
 	Failed bool
 }
@@ -95,11 +95,11 @@ type resources struct {
 }
 
 // pageCacheBytes returns the page cache capacity cfg sizes for page size
-// ps: the DRAM fraction rounded down to a power-of-two set count (cache
+// ps: half the DRAM, rounded down to a power-of-two set count (cache
 // geometry requires one). The pool keys recyclable page caches by this
 // value.
 func pageCacheBytes(cfg Config, ps uint64) uint64 {
-	sets := uint64(float64(cfg.DRAMBytes)*cfg.PageCacheFraction) / (ps * 8)
+	sets := cfg.DRAMBytes / 2 / (ps * 8)
 	for sets&(sets-1) != 0 {
 		sets &= sets - 1
 	}
@@ -264,19 +264,16 @@ type tenant struct {
 
 	// Fault-recovery state, armed only when the run has a fault plan.
 	// faults is the plan; tenantIdx keys the tenant's MAC-fault stream;
-	// macOps counts its MAC verifications. policy is the retry/backoff
-	// budget, breaker the per-tenant circuit (shared by same-named
-	// tenants), granted the admission instant the offload deadline counts
-	// from. retry re-runs just the faulted storage phase (the step's
-	// compute and translation charges are never re-applied); attempts
-	// counts the current step's failures; readErr records the newest
-	// failed prefetch issue, surfaced when consumption catches up.
+	// macOps counts its MAC verifications. breaker is the tenant's
+	// circuit, shared by tenants with the same arrival key. retry re-runs
+	// just the faulted storage phase (the step's compute and translation
+	// charges are never re-applied); attempts counts the current step's
+	// failures; readErr records the newest failed prefetch issue, surfaced
+	// when consumption catches up.
 	faults    *fault.Plan
 	tenantIdx int
 	macOps    uint64
-	policy    sched.RetryPolicy
 	breaker   *sim.Breaker
-	granted   sim.Time
 	retry     func() error
 	attempts  int
 	readErr   error
@@ -676,7 +673,6 @@ func Run(tr *workload.Trace, mode Mode, cfg Config) (Result, error) {
 // reuses.
 func (t *tenant) start(granted sim.Time, eng *sim.Engine, adm *sched.Gate, ticket *sched.Ticket) {
 	t.now = granted
-	t.granted = granted
 	t.result.QueueDelay = sim.Duration(granted - t.arrival)
 	if t.mode == ModeIceClave {
 		t.now += t.res.cfg.Costs.Create
@@ -698,54 +694,46 @@ func isFaultErr(err error) bool {
 		errors.Is(err, mee.ErrIntegrity)
 }
 
-// retryPolicy resolves the config's fault knobs into the effective
-// per-step retry/backoff budget.
-func retryPolicy(cfg Config) sched.RetryPolicy {
-	p := sched.RetryPolicy{
-		MaxRetries: cfg.FaultRetryLimit,
-		Backoff:    cfg.FaultBackoff,
-		BackoffCap: cfg.FaultBackoffCap,
-		Timeout:    cfg.OffloadTimeout,
+// Step recovery under a fault plan: a failed step is retried up to
+// maxStepRetries times, the first retry after stepBackoff and each later
+// one after twice the previous delay, capped at stepBackoffCap.
+const (
+	maxStepRetries = 16
+	stepBackoff    = 100 * sim.Microsecond
+	stepBackoffCap = 2 * sim.Millisecond
+)
+
+// backoffFor returns the delay before retry attempt (0-based):
+// stepBackoff << attempt, saturating at stepBackoffCap.
+func backoffFor(attempt int) sim.Duration {
+	d := stepBackoff
+	for i := 0; i < attempt && d < stepBackoffCap; i++ {
+		d *= 2
 	}
-	if p.MaxRetries == 0 {
-		p.MaxRetries = 16
-	} else if p.MaxRetries < 0 {
-		p.MaxRetries = 0
-	}
-	if p.Backoff == 0 {
-		p.Backoff = 100 * sim.Microsecond
-	}
-	if p.BackoffCap == 0 {
-		p.BackoffCap = 2 * sim.Millisecond
-	}
-	return p
+	return min(d, stepBackoffCap)
 }
 
 // faultEvent handles a recoverable fault from the current step: count
 // the failure against the tenant's circuit breaker, then either
 // schedule a capped-exponential-backoff retry on the virtual clock
 // (parked until the half-open probe window when the circuit is open) or
-// fail the offload once the step's retry budget or the offload deadline
-// is exhausted.
+// fail the offload once the step's retry budget is exhausted.
 func (t *tenant) faultEvent(eng *sim.Engine, adm *sched.Gate, ticket *sched.Ticket) {
 	t.attempts++
-	if t.breaker != nil && t.breaker.Failure(t.now) {
+	if t.breaker.Failure(t.now) {
 		t.result.BreakerTrips++
 	}
-	deadlineHit := t.policy.Timeout > 0 && t.now >= t.granted+sim.Time(t.policy.Timeout)
-	if t.attempts > t.policy.MaxRetries || deadlineHit {
+	if t.attempts > maxStepRetries {
 		t.fail(adm, ticket)
 		return
 	}
 	t.result.Retries++
-	next := t.now + t.policy.BackoffFor(t.attempts-1)
-	if t.breaker != nil {
-		if until, err := t.breaker.Allow(next); err != nil {
-			// Circuit open past the backoff: shed until the cooldown ends,
-			// and make the parked retry the half-open probe.
-			next = until
-			t.breaker.Allow(next)
-		}
+	next := t.now + backoffFor(t.attempts-1)
+	if until, err := t.breaker.Allow(next); err != nil {
+		// Circuit open past the backoff: shed until the cooldown ends,
+		// and make the parked retry the half-open probe.
+		next = until
+		t.breaker.Allow(next)
 	}
 	t.now = next
 	eng.At(t.now, t.next)
@@ -794,9 +782,7 @@ func (t *tenant) stepEvent(eng *sim.Engine, adm *sched.Gate, ticket *sched.Ticke
 	}
 	if t.attempts > 0 {
 		t.attempts = 0
-		if t.breaker != nil {
-			t.breaker.Success(t.now)
-		}
+		t.breaker.Success(t.now)
 	}
 	eng.At(t.now, t.next)
 }
@@ -823,10 +809,6 @@ func RunMulti(traces []*workload.Trace, mode Mode, cfg Config) ([]Result, error)
 
 // RunStats are whole-run statistics that have no per-tenant home.
 type RunStats struct {
-	// AdmissionTicks counts the admission gate's batched grant-scheduling
-	// passes (zero in per-release mode) — the firmware-work side of the
-	// quantum/queue-delay trade the Timing 1 table plots.
-	AdmissionTicks int64
 	// FTL snapshots the run's FTL activity — under a fault plan this is
 	// where device-level recovery shows up (ReadRetries, ProgramFails,
 	// BadBlocks, DeadDies).
@@ -873,7 +855,7 @@ func RunMultiStats(traces []*workload.Trace, mode Mode, cfg Config) ([]Result, R
 	// the exact fault-free code path bit for bit.
 	plan := cfg.FaultPlan
 	injecting := !plan.Zero()
-	var breakers *sched.Breakers
+	var breakers map[string]*sim.Breaker
 	if injecting {
 		// Install-time validation: a plan scripting deaths outside the
 		// device geometry is a malformed scenario (it would silently
@@ -885,21 +867,10 @@ func RunMultiStats(traces []*workload.Trace, mode Mode, cfg Config) ([]Result, R
 			return nil, RunStats{}, err
 		}
 		res.dev.SetInjector(inj)
-		if cfg.BreakerFailures >= 0 {
-			breakers = sched.NewBreakers(sim.BreakerConfig{
-				Failures: cfg.BreakerFailures,
-				Cooldown: cfg.BreakerCooldown,
-			})
-		}
+		breakers = make(map[string]*sim.Breaker)
 	}
 	eng := &sim.Engine{}
-	adm := sched.NewGate(eng, sched.GateConfig{
-		Slots:   cfg.AdmissionSlots,
-		PerKey:  cfg.AdmissionTenantSlots,
-		Quantum: cfg.AdmissionQuantum,
-		Batch:   cfg.AdmissionBatch,
-		Floor:   cfg.AdmissionQuantumFloor,
-	})
+	adm := sched.NewGate(eng, cfg.AdmissionSlots)
 	tenants := make([]*tenant, len(traces))
 	tickets := make([]*sched.Ticket, len(traces))
 	for i, tr := range traces {
@@ -908,10 +879,13 @@ func RunMultiStats(traces []*workload.Trace, mode Mode, cfg Config) ([]Result, R
 		if injecting {
 			tn.faults = plan
 			tn.tenantIdx = i
-			tn.policy = retryPolicy(cfg)
-			if breakers != nil {
-				tn.breaker = breakers.For(arrivals[i].Key)
+			// Tenants sharing an arrival key (by default, the trace name)
+			// share a breaker: the tenant is its workload identity.
+			key := arrivals[i].Key
+			if breakers[key] == nil {
+				breakers[key] = sim.NewBreaker()
 			}
+			tn.breaker = breakers[key]
 		}
 		tenants[i] = tn
 		arrivals[i].Fn = func(granted sim.Time) { tn.start(granted, eng, adm, tickets[i]) }
@@ -921,9 +895,8 @@ func RunMultiStats(traces []*workload.Trace, mode Mode, cfg Config) ([]Result, R
 	copy(tickets, adm.Playback(arrivals))
 	eng.Run()
 	stats := RunStats{
-		AdmissionTicks: adm.Ticks(),
-		FTL:            res.ftl.Stats(),
-		Flash:          res.dev.Snapshot(),
+		FTL:   res.ftl.Stats(),
+		Flash: res.dev.Snapshot(),
 	}
 	out := make([]Result, len(tenants))
 	for i, tn := range tenants {

@@ -25,21 +25,15 @@ func t0NormalSchedule(n int) *trace.Schedule {
 // TestZeroScheduleMatchesNilSchedule pins the defaults a nil
 // ArrivalSchedule stands for: an explicit schedule of every tenant at t=0,
 // PriorityNormal, keyed by its trace name, must reproduce the
-// nil-schedule results bit-identically — under no caps, a global cap, a
-// per-tenant cap, and batched grants.
+// nil-schedule results bit-identically — under no cap and under a global
+// cap.
 func TestZeroScheduleMatchesNilSchedule(t *testing.T) {
 	a := recordTrace(t, "Filter")
 	b := recordTrace(t, "Aggregate")
 	traces := []*workload.Trace{a, b}
 	muts := map[string]func(*Config){
-		"uncapped":    func(*Config) {},
-		"slots=1":     func(c *Config) { c.AdmissionSlots = 1 },
-		"tenant caps": func(c *Config) { c.AdmissionTenantSlots = 1 },
-		"batched": func(c *Config) {
-			c.AdmissionSlots = 1
-			c.AdmissionQuantum = 1 * sim.Millisecond
-			c.AdmissionBatch = 1
-		},
+		"uncapped": func(*Config) {},
+		"slots=1":  func(c *Config) { c.AdmissionSlots = 1 },
 	}
 	for name, mut := range muts {
 		t.Run(name, func(t *testing.T) {

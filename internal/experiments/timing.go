@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"iceclave/internal/core"
-	"iceclave/internal/sim"
 	"iceclave/internal/stats"
 )
 
@@ -22,21 +21,6 @@ var admissionMixes = [][]string{
 // 15-ID limit of §4.3 produces at scale.
 const admissionSlots = 2
 
-// Batched-grant policy compared against per-release dispatch: the gate
-// runs a scheduling pass only every grantQuantum of virtual time,
-// admitting at most grantBatch tenants per pass — firmware that amortizes
-// scheduling work over a periodic timer instead of dispatching on every
-// completion interrupt.
-const (
-	grantQuantum = 1 * sim.Millisecond
-	grantBatch   = 2
-	// grantFloor switches the third policy leg to the adaptive tick: the
-	// armed period is grantQuantum/(1+queued) clamped to this floor, so
-	// the gate schedules lazily when idle and nearly per-release under a
-	// deep queue — the scheduling-passes vs queue-delay frontier.
-	grantFloor = grantQuantum / 8
-)
-
 // AdmissionTiming is the Figure 17/18-style multi-tenant timing table for
 // the scheduler-driven timing mode: each four-tenant mix replays once
 // uncapped and once with the sched admission gate limiting concurrent
@@ -47,11 +31,10 @@ const (
 func (s *Suite) AdmissionTiming() (*stats.Table, error) {
 	t := &stats.Table{
 		ID: "Timing 1",
-		Title: fmt.Sprintf("Multi-tenant timing under admission control (%d of 4 tenants admitted; batched = %d grants per %v tick; adaptive tick floor %v)",
-			admissionSlots, grantBatch, grantQuantum, grantFloor),
+		Title: fmt.Sprintf("Multi-tenant timing under admission control (%d of 4 tenants admitted)",
+			admissionSlots),
 		Header: []string{"Mix", "Mean queue (ms)", "Max queue (ms)",
-			"Queued tenants", "Total vs uncapped", "Batched mean queue (ms)", "Batched vs per-release",
-			"Adaptive mean queue (ms)", "Sched passes (batched/adaptive)"},
+			"Queued tenants", "Total vs uncapped"},
 	}
 	rows := make([]rowOut, len(admissionMixes))
 	err := s.mapIndexed(len(admissionMixes), func(i int) error {
@@ -77,21 +60,7 @@ func (s *Suite) AdmissionTiming() (*stats.Table, error) {
 		if err != nil {
 			return err
 		}
-		// Same cap, batched-grant policy: the second policy axis.
-		cfg.AdmissionQuantum = grantQuantum
-		cfg.AdmissionBatch = grantBatch
-		batched, batchedStats, err := s.runMultiStats(mix, core.ModeIceClave, cfg)
-		if err != nil {
-			return err
-		}
-		// Same quantum with the queue-scaled adaptive tick: the third
-		// policy point on the scheduling-passes vs queue-delay frontier.
-		cfg.AdmissionQuantumFloor = grantFloor
-		adaptive, adaptiveStats, err := s.runMultiStats(mix, core.ModeIceClave, cfg)
-		if err != nil {
-			return err
-		}
-		var meanQ, maxQ, slow, batchQ, batchSlow, adaptQ float64
+		var meanQ, maxQ, slow float64
 		queued := 0
 		for j := range capped {
 			q := float64(capped[j].QueueDelay) / 1e6
@@ -103,18 +72,11 @@ func (s *Suite) AdmissionTiming() (*stats.Table, error) {
 				queued++
 			}
 			slow += float64(capped[j].Total) / float64(free[j].Total) / float64(len(capped))
-			batchQ += float64(batched[j].QueueDelay) / 1e6 / float64(len(capped))
-			batchSlow += float64(batched[j].Total) / float64(capped[j].Total) / float64(len(capped))
-			adaptQ += float64(adaptive[j].QueueDelay) / 1e6 / float64(len(capped))
 		}
 		rows[i] = rowOut{
 			row: []any{mixLabel(mix), fmt.Sprintf("%.2f", meanQ), fmt.Sprintf("%.2f", maxQ),
-				fmt.Sprintf("%d/%d", queued, len(mix)), stats.Ratio(slow),
-				fmt.Sprintf("%.2f", batchQ), stats.Ratio(batchSlow),
-				fmt.Sprintf("%.2f", adaptQ),
-				fmt.Sprintf("%d/%d", batchedStats.AdmissionTicks, adaptiveStats.AdmissionTicks)},
-			aux: []float64{meanQ, batchQ, adaptQ,
-				float64(batchedStats.AdmissionTicks), float64(adaptiveStats.AdmissionTicks)},
+				fmt.Sprintf("%d/%d", queued, len(mix)), stats.Ratio(slow)},
+			aux: []float64{meanQ},
 		}
 		return nil
 	})
@@ -125,13 +87,5 @@ func (s *Suite) AdmissionTiming() (*stats.Table, error) {
 	t.AddNote("admission caps reach the simulated clock: queueing delay is part of each tenant's Result, "+
 		"mean across mixes %.2f ms", sumAux(rows, 0)/float64(len(rows)))
 	t.AddNote("a ratio below 1x means serializing tenants cost less than the device contention it removed")
-	t.AddNote("batched grants align admissions to %v scheduler ticks (<= %d per tick): queueing rises to the "+
-		"next tick boundary (mean %.2f ms) in exchange for fewer firmware scheduling passes", grantQuantum,
-		grantBatch, sumAux(rows, 1)/float64(len(rows)))
-	t.AddNote("the adaptive tick scales the period with queue depth (quantum/(1+queued), floor %v): mean queue "+
-		"%.2f ms over %.0f scheduling passes vs the fixed tick's %.2f ms over %.0f — the gate buys back "+
-		"queueing delay only when there is a queue to drain", grantFloor,
-		sumAux(rows, 2)/float64(len(rows)), sumAux(rows, 4),
-		sumAux(rows, 1)/float64(len(rows)), sumAux(rows, 3))
 	return t, nil
 }

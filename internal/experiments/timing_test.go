@@ -34,18 +34,5 @@ func TestAdmissionTimingShowsQueueing(t *testing.T) {
 		if ratio := cellFloat(t, r[4]); ratio < 0.5 || ratio > 3.0 {
 			t.Fatalf("%s: capped/uncapped total = %vx, outside [0.5, 3.0]", r[0], ratio)
 		}
-		// Batched grants delay each admission to its next tick, so the
-		// batched mean queue sits at or above per-release for these
-		// mixes. The total ratio usually lands >= 1x, but — like the
-		// capped/uncapped column — delaying admissions can also *reduce*
-		// device contention, so the bound is the same sanity band, not a
-		// hard 1x floor.
-		batchQ := cellFloat(t, r[5])
-		if batchQ < meanQ {
-			t.Fatalf("%s: batched mean queue %v ms below per-release %v ms", r[0], batchQ, meanQ)
-		}
-		if ratio := cellFloat(t, r[6]); ratio < 0.5 || ratio > 3.0 {
-			t.Fatalf("%s: batched/per-release total = %vx, outside [0.5, 3.0]", r[0], ratio)
-		}
 	}
 }

@@ -125,10 +125,12 @@ func DefaultSGXConfig() SGXConfig {
 
 // ComputePenalty returns the extra time SGX adds to a phase that took
 // baseCompute of host compute over inputBytes of enclave-resident data.
+// The transition count is fractional: the replay charges one 4 KB page per
+// call, 1/64 of a transition at the default rate.
 func (c SGXConfig) ComputePenalty(baseCompute sim.Duration, inputBytes int64) sim.Duration {
 	mb := float64(inputBytes) / (1 << 20)
-	transitions := sim.Duration(mb * c.TransitionsPerMB)
-	return sim.Duration(float64(baseCompute)*c.ComputeInflation) + transitions*c.TransitionCost
+	transitionTime := sim.Duration(mb * c.TransitionsPerMB * float64(c.TransitionCost))
+	return sim.Duration(float64(baseCompute)*c.ComputeInflation) + transitionTime
 }
 
 // Offload is a host-side request built by the IceClave library's

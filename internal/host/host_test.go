@@ -86,6 +86,19 @@ func TestSGXPenaltyCalibration(t *testing.T) {
 	}
 }
 
+// TestSGXTransitionCostForOnePage pins the transition term at the size
+// the replay charges, one 4 KB page: 4 transitions/MB × 8 µs is 125 ns
+// per page, not a count truncated to zero before the cost is applied.
+func TestSGXTransitionCostForOnePage(t *testing.T) {
+	c := DefaultSGXConfig()
+	if got := c.ComputePenalty(0, 4096); got != 125*sim.Nanosecond {
+		t.Fatalf("ComputePenalty(0, 4 KB) = %v, want 125ns", got)
+	}
+	if got := c.ComputePenalty(0, 1<<20); got != 32*sim.Microsecond {
+		t.Fatalf("ComputePenalty(0, 1 MB) = %v, want 32µs", got)
+	}
+}
+
 func TestOffloadValidate(t *testing.T) {
 	ok := Offload{TaskID: 1, Binary: []byte{0x1}, LPAs: []uint32{0}}
 	if err := ok.Validate(); err != nil {

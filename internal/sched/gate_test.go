@@ -17,7 +17,7 @@ func submit(g *Gate, at sim.Time, key string, prio Priority, fn func(sim.Time)) 
 // capacity, the grant fires at the arrival instant with zero wait.
 func TestAdmissionImmediateGrant(t *testing.T) {
 	eng := &sim.Engine{}
-	g := NewGate(eng, GateConfig{Slots: 2, PerKey: 1})
+	g := NewGate(eng, 2)
 	var granted sim.Time = -1
 	tk := submit(g, 10, "a", PriorityNormal, func(now sim.Time) { granted = now })
 	eng.Run()
@@ -36,7 +36,7 @@ func TestAdmissionImmediateGrant(t *testing.T) {
 // on: no caps means every arrival is granted at its arrival instant.
 func TestVirtualAdmissionUncapped(t *testing.T) {
 	eng := &sim.Engine{}
-	g := NewGate(eng, GateConfig{})
+	g := NewGate(eng, 0)
 	for i := 0; i < 64; i++ {
 		submit(g, 0, "t", PriorityNormal, func(now sim.Time) {
 			if now != 0 {
@@ -55,7 +55,7 @@ func TestVirtualAdmissionUncapped(t *testing.T) {
 // interval is recorded as queueing delay.
 func TestAdmissionGlobalCapQueues(t *testing.T) {
 	eng := &sim.Engine{}
-	g := NewGate(eng, GateConfig{Slots: 1})
+	g := NewGate(eng, 1)
 	var t1, t2 sim.Time = -1, -1
 	tk1 := submit(g, 0, "a", PriorityLow, func(now sim.Time) { t1 = now })
 	tk2 := submit(g, 0, "b", PriorityLow, func(now sim.Time) { t2 = now })
@@ -80,7 +80,7 @@ func TestAdmissionGlobalCapQueues(t *testing.T) {
 // highest-band queued ticket wins regardless of arrival order.
 func TestAdmissionBandPriority(t *testing.T) {
 	eng := &sim.Engine{}
-	g := NewGate(eng, GateConfig{Slots: 1})
+	g := NewGate(eng, 1)
 	hold := submit(g, 0, "hold", PriorityHigh, func(sim.Time) {})
 	var order []string
 	note := func(key string, prio Priority) *Ticket {
@@ -107,46 +107,14 @@ func TestAdmissionBandPriority(t *testing.T) {
 	}
 }
 
-// TestAdmissionPerKeySkip pins work conservation: a queued ticket whose
-// key is at its per-key cap is skipped, not head-of-line blocking.
-func TestAdmissionPerKeySkip(t *testing.T) {
-	eng := &sim.Engine{}
-	g := NewGate(eng, GateConfig{Slots: 2, PerKey: 1})
-	var order []string
-	note := func(key string) func(sim.Time) {
-		return func(sim.Time) { order = append(order, key) }
-	}
-	ta1 := submit(g, 0, "a", PriorityLow, note("a1"))
-	tb1 := submit(g, 0, "b", PriorityLow, note("b1"))
-	// Both slots busy now; queue a's second job ahead of c's first.
-	submit(g, 0, "a", PriorityLow, note("a2"))
-	submit(g, 0, "c", PriorityLow, note("c1"))
-	eng.Run()
-	if len(order) != 2 || order[0] != "a1" || order[1] != "b1" {
-		t.Fatalf("granted %v, want a1,b1", order)
-	}
-	// A slot frees while "a" is still running: a2 must be skipped (key at
-	// cap) and c1 granted instead.
-	g.Release(tb1, 100)
-	eng.Run()
-	if len(order) != 3 || order[2] != "c1" {
-		t.Fatalf("after b1 release: %v, want c1 granted (a2 skipped)", order)
-	}
-	g.Release(ta1, 200)
-	eng.Run()
-	if len(order) != 4 || order[3] != "a2" {
-		t.Fatalf("after a1 release: %v, want a2 granted", order)
-	}
-}
-
 // TestVirtualAdmissionMirrorsSchedulerPolicy drives the gate through the
-// admission scenario the goroutine pool implements — per-key cap 1,
-// global cap 2, priority bands — and checks the grant order and the
-// virtual queueing delays: a capped key's high-band ticket yields to
-// another key's.
+// admission scenario the goroutine pool implements — global cap 2,
+// priority bands, FIFO within a band — and checks the grant order and the
+// virtual queueing delays. The pool's per-key cap, which the gate does not
+// set, is pinned on the queue by TestQueueCappedKeyYieldsToOtherKey.
 func TestVirtualAdmissionMirrorsSchedulerPolicy(t *testing.T) {
 	eng := &sim.Engine{}
-	g := NewGate(eng, GateConfig{Slots: 2, PerKey: 1})
+	g := NewGate(eng, 2)
 
 	type grant struct {
 		name string
@@ -161,7 +129,7 @@ func TestVirtualAdmissionMirrorsSchedulerPolicy(t *testing.T) {
 
 	tA := note("a", PriorityNormal)
 	tB := note("b", PriorityNormal)
-	note("a", PriorityHigh) // key a at cap: queued despite high band
+	note("a", PriorityHigh)
 	note("c", PriorityLow)
 	note("d", PriorityHigh)
 	eng.Run()
@@ -171,23 +139,23 @@ func TestVirtualAdmissionMirrorsSchedulerPolicy(t *testing.T) {
 		t.Fatalf("running=%d pending=%d, want 2/3", g.Running(), g.Pending())
 	}
 
-	// b finishes at t=1000: key a is still capped, so the high-band
-	// winner is d, not a's second job.
+	// b finishes at t=1000: the high band goes first, and within it the
+	// earlier arrival, a's second job.
 	g.Release(tB, 1000)
 	eng.Run()
-	if got := grants[len(grants)-1]; got.name != "d/high" || got.at != 1000 {
-		t.Fatalf("after b: granted %+v, want d/high at 1000", got)
+	if got := grants[len(grants)-1]; got.name != "a/high" || got.at != 1000 {
+		t.Fatalf("after b: granted %+v, want a/high at 1000", got)
 	}
 
-	// a finishes at t=3000: its queued high-band job now beats c's low.
+	// a finishes at t=3000: d's high-band job beats c's low.
 	g.Release(tA, 3000)
 	eng.Run()
-	if got := grants[len(grants)-1]; got.name != "a/high" || got.at != 3000 {
-		t.Fatalf("after a: granted %+v, want a/high at 3000", got)
+	if got := grants[len(grants)-1]; got.name != "d/high" || got.at != 3000 {
+		t.Fatalf("after a: granted %+v, want d/high at 3000", got)
 	}
 
-	// Queueing delay accumulated on the virtual clock: d waited 1000,
-	// a/high waited 3000.
+	// Queueing delay accumulated on the virtual clock: a/high waited
+	// 1000, d waited 3000.
 	if g.Waited() != 4000 {
 		t.Fatalf("aggregate wait %v, want 4000", g.Waited())
 	}
@@ -196,7 +164,7 @@ func TestVirtualAdmissionMirrorsSchedulerPolicy(t *testing.T) {
 // TestAdmissionFIFOWithinBand pins arrival order within one band.
 func TestAdmissionFIFOWithinBand(t *testing.T) {
 	eng := &sim.Engine{}
-	g := NewGate(eng, GateConfig{Slots: 1})
+	g := NewGate(eng, 1)
 	var order []string
 	hold := submit(g, 0, "hold", PriorityLow, func(sim.Time) {})
 	tks := make([]*Ticket, 3)
@@ -218,105 +186,6 @@ func TestAdmissionFIFOWithinBand(t *testing.T) {
 	}
 }
 
-// TestBatchedGrantsTickAligned pins batched-grant mode's core rule: with
-// quantum q and batch K, tickets arriving at t=0 are admitted K per tick
-// at t = 0, q, 2q, ... instead of all at once.
-func TestBatchedGrantsTickAligned(t *testing.T) {
-	eng := &sim.Engine{}
-	g := NewGate(eng, GateConfig{Quantum: 1000, Batch: 2})
-	grants := make(map[string]sim.Time)
-	for _, key := range []string{"a", "b", "c", "d", "e"} {
-		submit(g, 0, key, PriorityLow, func(now sim.Time) { grants[key] = now })
-	}
-	eng.Run()
-	want := map[string]sim.Time{"a": 0, "b": 0, "c": 1000, "d": 1000, "e": 2000}
-	for key, at := range want {
-		if grants[key] != at {
-			t.Fatalf("grants = %v, want %v", grants, want)
-		}
-	}
-	if g.Ticks() != 3 {
-		t.Fatalf("ticks = %d, want 3", g.Ticks())
-	}
-}
-
-// TestBatchedReleaseWaitsForTick pins the per-release vs batched
-// difference: capacity freed mid-quantum is handed out at the next tick
-// boundary, not at the release instant.
-func TestBatchedReleaseWaitsForTick(t *testing.T) {
-	eng := &sim.Engine{}
-	g := NewGate(eng, GateConfig{Slots: 1, Quantum: 1000, Batch: 1})
-	var t1, t2 sim.Time = -1, -1
-	tk1 := submit(g, 0, "a", PriorityLow, func(now sim.Time) { t1 = now })
-	submit(g, 0, "b", PriorityLow, func(now sim.Time) { t2 = now })
-	eng.Run()
-	if t1 != 0 || t2 != -1 {
-		t.Fatalf("before release: t1=%v t2=%v", t1, t2)
-	}
-	g.Release(tk1, 1500)
-	eng.Run()
-	if t2 != 2000 {
-		t.Fatalf("queued grant at %v, want next tick 2000 (release was 1500)", t2)
-	}
-}
-
-// TestBatchedUnlimitedBatchStillTickAligned pins Batch <= 0 semantics: a
-// tick admits everything capacity allows, but off-boundary arrivals
-// still wait for the boundary.
-func TestBatchedUnlimitedBatchStillTickAligned(t *testing.T) {
-	eng := &sim.Engine{}
-	g := NewGate(eng, GateConfig{Quantum: 1000})
-	grants := make(map[string]sim.Time)
-	for _, key := range []string{"a", "b", "c"} {
-		submit(g, 300, key, PriorityLow, func(now sim.Time) { grants[key] = now })
-	}
-	eng.Run()
-	for _, key := range []string{"a", "b", "c"} {
-		if grants[key] != 1000 {
-			t.Fatalf("grants = %v, want all at the 1000 boundary", grants)
-		}
-	}
-	if g.Ticks() != 1 {
-		t.Fatalf("ticks = %d, want 1", g.Ticks())
-	}
-}
-
-// TestBatchedKeepsBandPriorityAndWorkConservation pins that a batched
-// tick dispatches with the same policy as per-release mode: highest band
-// first, capped keys skipped rather than head-of-line blocking.
-func TestBatchedKeepsBandPriorityAndWorkConservation(t *testing.T) {
-	eng := &sim.Engine{}
-	g := NewGate(eng, GateConfig{Slots: 2, PerKey: 1, Quantum: 1000, Batch: 2})
-	var order []string
-	note := func(key string) func(sim.Time) {
-		return func(sim.Time) { order = append(order, key) }
-	}
-	submit(g, 0, "a", PriorityLow, note("a-low"))
-	submit(g, 0, "a", PriorityHigh, note("a-high"))
-	submit(g, 0, "b", PriorityNormal, note("b-mid"))
-	eng.Run()
-	// One tick: a-high (band 2), then b-mid (band 1); a-low is skipped —
-	// its key is at the per-key cap — not head-of-line blocking b.
-	if len(order) != 2 || order[0] != "a-high" || order[1] != "b-mid" {
-		t.Fatalf("granted %v, want a-high then b-mid", order)
-	}
-}
-
-// TestPerReleaseModeHasNoTicks pins that the default policy is untouched
-// by the batching machinery.
-func TestPerReleaseModeHasNoTicks(t *testing.T) {
-	eng := &sim.Engine{}
-	g := NewGate(eng, GateConfig{Slots: 1})
-	tk1 := submit(g, 0, "a", PriorityLow, func(sim.Time) {})
-	submit(g, 0, "b", PriorityLow, func(sim.Time) {})
-	eng.Run()
-	g.Release(tk1, 777)
-	eng.Run()
-	if g.Ticks() != 0 {
-		t.Fatalf("ticks = %d, want 0 in per-release mode", g.Ticks())
-	}
-}
-
 // TestAdmissionDequeueAllocs pins the in-place dequeue through the gate:
 // granting the next ticket out of a 1000-deep queue allocates nothing and
 // keeps FIFO order — Release panics unless tickets[next] is the running
@@ -324,7 +193,7 @@ func TestPerReleaseModeHasNoTicks(t *testing.T) {
 func TestAdmissionDequeueAllocs(t *testing.T) {
 	const depth = 1000
 	eng := &sim.Engine{}
-	g := NewGate(eng, GateConfig{Slots: 1})
+	g := NewGate(eng, 1)
 	fn := func(sim.Time) {}
 	arrivals := make([]Arrival, depth)
 	for i := range arrivals {
@@ -354,7 +223,7 @@ func TestAdmissionDequeueAllocs(t *testing.T) {
 // listed first here).
 func TestPlaybackGrantsInBandOrderAtEqualArrival(t *testing.T) {
 	eng := &sim.Engine{}
-	g := NewGate(eng, GateConfig{Slots: 1})
+	g := NewGate(eng, 1)
 	const service = sim.Duration(100)
 	var order []int
 	var tks []*Ticket
@@ -386,7 +255,7 @@ func TestPlaybackGrantsInBandOrderAtEqualArrival(t *testing.T) {
 // not queueing delay.
 func TestPlaybackWaitExcludesPreArrivalIdle(t *testing.T) {
 	eng := &sim.Engine{}
-	g := NewGate(eng, GateConfig{Slots: 2})
+	g := NewGate(eng, 2)
 	var granted sim.Time = -1
 	tks := g.Playback([]Arrival{
 		{At: 5 * sim.Millisecond, Key: "late", Priority: PriorityLow, Fn: func(gr sim.Time) { granted = gr }},
@@ -407,7 +276,7 @@ func TestPlaybackWaitExcludesPreArrivalIdle(t *testing.T) {
 // scheduled arrival instants and keys through to the tickets.
 func TestVirtualPlaybackSchedulesAtArrival(t *testing.T) {
 	eng := &sim.Engine{}
-	g := NewGate(eng, GateConfig{})
+	g := NewGate(eng, 0)
 	var granted sim.Time = -1
 	tks := g.Playback([]Arrival{
 		{At: 7 * sim.Millisecond, Key: "t0", Priority: PriorityLow,
@@ -427,7 +296,7 @@ func TestVirtualPlaybackSchedulesAtArrival(t *testing.T) {
 // its grant, not from time zero.
 func TestPlaybackQueuedWaitCountsFromArrival(t *testing.T) {
 	eng := &sim.Engine{}
-	g := NewGate(eng, GateConfig{Slots: 1})
+	g := NewGate(eng, 1)
 	var tks []*Ticket
 	tks = g.Playback([]Arrival{
 		{At: 0, Key: "first", Priority: PriorityNormal, Fn: func(gr sim.Time) {
@@ -452,7 +321,7 @@ func TestPlaybackQueuedWaitCountsFromArrival(t *testing.T) {
 // own time, and the returned tickets stay in schedule order.
 func TestPlaybackUnsortedArrivalsAndTicketOrder(t *testing.T) {
 	eng := &sim.Engine{}
-	g := NewGate(eng, GateConfig{})
+	g := NewGate(eng, 0)
 	var grants []sim.Time
 	tks := g.Playback([]Arrival{
 		{At: 20, Key: "later", Priority: PriorityNormal, Fn: func(gr sim.Time) { grants = append(grants, gr) }},
@@ -470,35 +339,12 @@ func TestPlaybackUnsortedArrivalsAndTicketOrder(t *testing.T) {
 	}
 }
 
-// TestPlaybackBatchedModeAlignsToTicks pins playback under the
-// batched-grant policy: a scheduled arrival waits for the next quantum
-// tick.
-func TestPlaybackBatchedModeAlignsToTicks(t *testing.T) {
-	eng := &sim.Engine{}
-	const quantum = 300 * sim.Microsecond
-	g := NewGate(eng, GateConfig{Slots: 1, Quantum: quantum, Batch: 1})
-	var granted sim.Time = -1
-	g.Playback([]Arrival{
-		{At: 1000 * sim.Microsecond, Key: "a", Priority: PriorityNormal, Fn: func(gr sim.Time) { granted = gr }},
-	})
-	eng.Run()
-	if granted < 1000*sim.Microsecond {
-		t.Fatalf("granted at %v, before the arrival", granted)
-	}
-	if granted%quantum != 0 {
-		t.Fatalf("granted at %v, not on a %v tick", granted, quantum)
-	}
-	if granted-1000*sim.Microsecond >= quantum {
-		t.Fatalf("granted at %v, more than one quantum past the 1000us arrival", granted)
-	}
-}
-
 // TestPlaybackRejectsBadBand pins the same must-not-pass-silently posture
 // Scheduler.Submit has: an out-of-range band is a scheduling bug, not
 // data.
 func TestPlaybackRejectsBadBand(t *testing.T) {
 	eng := &sim.Engine{}
-	g := NewGate(eng, GateConfig{Slots: 2})
+	g := NewGate(eng, 2)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Playback accepted an out-of-range band")
@@ -520,7 +366,7 @@ func TestVirtualAdmissionOutOfRangePriority(t *testing.T) {
 				}
 			}()
 			eng := &sim.Engine{}
-			NewGate(eng, GateConfig{Slots: 1}).Playback([]Arrival{{Key: "t", Priority: p, Fn: func(sim.Time) { fired = true }}})
+			NewGate(eng, 1).Playback([]Arrival{{Key: "t", Priority: p, Fn: func(sim.Time) { fired = true }}})
 			eng.Run()
 		}()
 		if fired {
@@ -534,7 +380,7 @@ func TestVirtualAdmissionOutOfRangePriority(t *testing.T) {
 // queued, while genuinely blocked arrivals do.
 func TestPlaybackMaxQueuedExcludesImmediateGrants(t *testing.T) {
 	eng := &sim.Engine{}
-	g := NewGate(eng, GateConfig{Slots: 2})
+	g := NewGate(eng, 2)
 	var tks []*Ticket
 	release := func(i int) func(sim.Time) {
 		return func(gr sim.Time) { eng.At(gr+100, func(now sim.Time) { g.Release(tks[i], now) }) }
@@ -557,7 +403,7 @@ func BenchmarkGateDrain(b *testing.B) {
 	const n = 10000
 	for i := 0; i < b.N; i++ {
 		eng := &sim.Engine{}
-		g := NewGate(eng, GateConfig{Slots: 4})
+		g := NewGate(eng, 4)
 		var tks []*Ticket
 		arrivals := make([]Arrival, n)
 		for k := range arrivals {

@@ -5,8 +5,9 @@ package sched
 // Entries wait FIFO in one of three priority bands; pop grants the
 // highest band first, skips (rather than head-of-line blocks on) an entry
 // whose key is at its per-key cap, and stops at the global cap. A
-// non-positive cap means unlimited. The queue never knows which clock
-// drives it; the caller's lock or goroutine owns it.
+// non-positive cap means unlimited; the pool sets the per-key cap from
+// Config.TenantMaxInFlight, and the gate sets none. The queue never knows
+// which clock drives it; the caller's lock or goroutine owns it.
 type queue[T any] struct {
 	bands   [numPriorities][]entry[T]
 	slots   int // global cap on granted entries; <= 0 means unlimited
@@ -83,10 +84,4 @@ func (q *queue[T]) done(key string) {
 	} else {
 		delete(q.byKey, key)
 	}
-}
-
-// anyAdmissible reports whether pop would grant an entry now.
-func (q *queue[T]) anyAdmissible() bool {
-	p, _ := q.next()
-	return p >= 0
 }

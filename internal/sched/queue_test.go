@@ -57,6 +57,63 @@ func TestQueuePopAllocs(t *testing.T) {
 	}
 }
 
+// popWant pops q and fails unless it grants want; want "" means the caps
+// must admit nothing.
+func popWant(t *testing.T, q *queue[string], want string) {
+	t.Helper()
+	got, ok := q.pop()
+	if want == "" && ok {
+		t.Fatalf("pop granted %q, want nothing", got)
+	}
+	if want != "" && (!ok || got != want) {
+		t.Fatalf("pop = (%q, %v), want %q", got, ok, want)
+	}
+}
+
+// TestAdmissionPerKeySkip pins work conservation: a queued entry whose
+// key is at its per-key cap is skipped, not head-of-line blocking.
+func TestAdmissionPerKeySkip(t *testing.T) {
+	q := newQueue[string](2, 1)
+	q.push("a", PriorityLow, "a1")
+	q.push("b", PriorityLow, "b1")
+	popWant(t, &q, "a1")
+	popWant(t, &q, "b1")
+	// Both slots busy; a's second entry queues ahead of c's first.
+	q.push("a", PriorityLow, "a2")
+	q.push("c", PriorityLow, "c1")
+	popWant(t, &q, "")
+	// A slot frees while "a" still runs: a2 is skipped (key at cap) and
+	// c1 granted instead.
+	q.done("b")
+	popWant(t, &q, "c1")
+	q.done("a")
+	popWant(t, &q, "a2")
+}
+
+// TestQueueCappedKeyYieldsToOtherKey pins the per-key cap against band
+// order, the pool's TenantMaxInFlight scenario: a capped key's high-band
+// entry yields to another key's until its running entry is done.
+func TestQueueCappedKeyYieldsToOtherKey(t *testing.T) {
+	q := newQueue[string](2, 1)
+	q.push("a", PriorityNormal, "a/normal")
+	q.push("b", PriorityNormal, "b/normal")
+	popWant(t, &q, "a/normal")
+	popWant(t, &q, "b/normal")
+	q.push("a", PriorityHigh, "a/high") // key a at cap: waits despite its band
+	q.push("c", PriorityLow, "c/low")
+	q.push("d", PriorityHigh, "d/high")
+	popWant(t, &q, "")
+	// b is done: key a is still capped, so the high-band winner is d.
+	q.done("b")
+	popWant(t, &q, "d/high")
+	// a is done: its queued high-band entry now beats c's low.
+	q.done("a")
+	popWant(t, &q, "a/high")
+	if q.waiting != 1 || q.running != 2 {
+		t.Fatalf("waiting=%d running=%d, want 1/2", q.waiting, q.running)
+	}
+}
+
 // TestSchedulerAndGateGrantInOneOrder feeds one seeded sequence of
 // (tenant, priority) submissions to both gates that pop the queue: a
 // 1-worker Scheduler held on a first job until every submission is
@@ -100,7 +157,7 @@ func TestSchedulerAndGateGrantInOneOrder(t *testing.T) {
 	waitAll(t, append(hs, hold))
 
 	eng := &sim.Engine{}
-	g := NewGate(eng, GateConfig{Slots: 1, PerKey: 1})
+	g := NewGate(eng, 1)
 	var virtual []int
 	var tks []*Ticket
 	arrivals := make([]Arrival, n)

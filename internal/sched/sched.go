@@ -27,8 +27,8 @@
 //     rejections, queue wait, and run time, for fairness accounting.
 //
 // The pool and the virtual-time Gate (gate.go) drive one admission queue
-// (queue.go), so the wall-clock and simulated-time gates grant in the
-// same order. A Job is just a func(ctx) error; the pool drives functional
+// (queue.go), so under the same caps the wall-clock and simulated-time
+// gates grant in the same order; the gate sets only the global cap. A Job is just a func(ctx) error; the pool drives functional
 // TEE offloads (iceclave.SSD).
 //
 // Concurrency contract: Scheduler and Handle are safe for concurrent use

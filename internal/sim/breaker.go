@@ -33,48 +33,29 @@ func (s BreakerState) String() string {
 	}
 }
 
-// BreakerConfig parameterizes a Breaker. The zero value gets defaults.
-type BreakerConfig struct {
-	// Failures is the consecutive-failure count that trips the circuit.
-	// Default 5.
-	Failures int
-	// Cooldown is the virtual time the circuit stays open before
-	// granting a half-open probe. Default 5 ms.
-	Cooldown Duration
-}
-
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.Failures <= 0 {
-		c.Failures = 5
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 5 * Millisecond
-	}
-	return c
-}
+// The breaker's trip threshold and open interval.
+const (
+	breakerFailures = 5
+	breakerCooldown = 5 * Millisecond
+)
 
 // Breaker is a per-tenant circuit breaker on the virtual clock. It trips
-// open after K consecutive failures, sheds requests with ErrCircuitOpen
-// for a cooldown, then grants a single half-open probe whose outcome
-// closes the circuit or re-opens it for another cooldown.
+// open after breakerFailures consecutive failures, sheds requests with
+// ErrCircuitOpen for breakerCooldown, then grants a single half-open probe
+// whose outcome closes the circuit or re-opens it for another cooldown.
 //
 // Like every type in this package, Breaker is single-goroutine by
 // contract: on the replay path it is mutated only from engine events, in
 // deterministic (time, seq) order.
 type Breaker struct {
-	cfg BreakerConfig
-
 	state       BreakerState
 	consecutive int  // consecutive failures while closed
 	until       Time // open until this instant
 	trips       int
 }
 
-// NewBreaker builds a breaker with the given config (zero value for
-// defaults), starting closed.
-func NewBreaker(cfg BreakerConfig) *Breaker {
-	return &Breaker{cfg: cfg.withDefaults()}
-}
+// NewBreaker builds a closed breaker.
+func NewBreaker() *Breaker { return &Breaker{} }
 
 // Allow reports whether a request arriving at time at may proceed.
 // Closed (or half-open, for re-entrant probes) grants immediately. Open
@@ -111,7 +92,7 @@ func (b *Breaker) Failure(at Time) bool {
 		return true
 	case BreakerClosed:
 		b.consecutive++
-		if b.consecutive >= b.cfg.Failures {
+		if b.consecutive >= breakerFailures {
 			b.trip(at)
 			return true
 		}
@@ -122,7 +103,7 @@ func (b *Breaker) Failure(at Time) bool {
 func (b *Breaker) trip(at Time) {
 	b.state = BreakerOpen
 	b.consecutive = 0
-	b.until = at + Time(b.cfg.Cooldown)
+	b.until = at + Time(breakerCooldown)
 	b.trips++
 }
 

@@ -5,18 +5,28 @@ import (
 	"testing"
 )
 
-func TestBreakerTripAfterKFailures(t *testing.T) {
-	b := NewBreaker(BreakerConfig{Failures: 3, Cooldown: 100})
-	for i := 0; i < 2; i++ {
-		if b.Failure(Time(i)) {
-			t.Fatalf("failure %d tripped early", i)
-		}
-		if b.State() != BreakerClosed {
-			t.Fatalf("state after failure %d = %v, want closed", i, b.State())
+// tripAt fails b breakerFailures times at instant at, tripping it.
+func tripAt(t *testing.T, b *Breaker, at Time) {
+	t.Helper()
+	for i := 0; i < breakerFailures; i++ {
+		if tripped := b.Failure(at); tripped != (i == breakerFailures-1) {
+			t.Fatalf("failure %d at %d: tripped=%v", i+1, at, tripped)
 		}
 	}
-	if !b.Failure(2) {
-		t.Fatal("third failure did not trip")
+}
+
+func TestBreakerTripAfterKFailures(t *testing.T) {
+	b := NewBreaker()
+	for i := 0; i < breakerFailures-1; i++ {
+		if b.Failure(Time(i)) {
+			t.Fatalf("failure %d tripped early", i+1)
+		}
+		if b.State() != BreakerClosed {
+			t.Fatalf("state after failure %d = %v, want closed", i+1, b.State())
+		}
+	}
+	if !b.Failure(Time(breakerFailures)) {
+		t.Fatalf("failure %d did not trip", breakerFailures)
 	}
 	if b.State() != BreakerOpen || b.Trips() != 1 {
 		t.Fatalf("state=%v trips=%d, want open/1", b.State(), b.Trips())
@@ -24,31 +34,33 @@ func TestBreakerTripAfterKFailures(t *testing.T) {
 }
 
 func TestBreakerSuccessResetsCount(t *testing.T) {
-	b := NewBreaker(BreakerConfig{Failures: 3, Cooldown: 100})
-	b.Failure(0)
-	b.Failure(1)
-	b.Success(2)
-	b.Failure(3)
-	b.Failure(4)
-	if b.State() != BreakerClosed {
-		t.Fatal("interleaved successes should prevent tripping")
+	b := NewBreaker()
+	for round := 0; round < 3; round++ {
+		for i := 0; i < breakerFailures-1; i++ {
+			b.Failure(Time(round*10 + i))
+		}
+		b.Success(Time(round*10 + 9))
+	}
+	if b.State() != BreakerClosed || b.Trips() != 0 {
+		t.Fatalf("state=%v trips=%d: interleaved successes should prevent tripping", b.State(), b.Trips())
 	}
 }
 
 func TestBreakerOpenShedsUntilCooldown(t *testing.T) {
-	b := NewBreaker(BreakerConfig{Failures: 1, Cooldown: 100})
-	b.Failure(10) // trips; open until 110
-	until, err := b.Allow(50)
+	b := NewBreaker()
+	tripAt(t, b, 10) // open until 10 + 5 ms
+	end := 10 + Time(breakerCooldown)
+	until, err := b.Allow(end - 1)
 	if !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("err = %v, want ErrCircuitOpen", err)
 	}
-	if until != 110 {
-		t.Fatalf("until = %d, want 110", until)
+	if until != end {
+		t.Fatalf("until = %d, want %d", until, end)
 	}
 	// At the cooldown boundary the breaker grants a half-open probe.
-	granted, err := b.Allow(110)
-	if err != nil || granted != 110 {
-		t.Fatalf("probe grant = (%d, %v), want (110, nil)", granted, err)
+	granted, err := b.Allow(end)
+	if err != nil || granted != end {
+		t.Fatalf("probe grant = (%d, %v), want (%d, nil)", granted, err, end)
 	}
 	if b.State() != BreakerHalfOpen {
 		t.Fatalf("state = %v, want half-open", b.State())
@@ -57,41 +69,46 @@ func TestBreakerOpenShedsUntilCooldown(t *testing.T) {
 
 func TestBreakerHalfOpenProbeOutcomes(t *testing.T) {
 	// Probe success closes.
-	b := NewBreaker(BreakerConfig{Failures: 1, Cooldown: 100})
-	b.Failure(0)
-	b.Allow(100)
-	b.Success(101)
+	b := NewBreaker()
+	tripAt(t, b, 0)
+	b.Allow(Time(breakerCooldown))
+	b.Success(Time(breakerCooldown) + 1)
 	if b.State() != BreakerClosed {
 		t.Fatalf("state after probe success = %v, want closed", b.State())
 	}
-	// Probe failure re-opens for another full cooldown. (With K=1 the
-	// intermediate failure at t=200 is itself trip #2; the failed probe
-	// is trip #3.)
-	b.Failure(200)
-	b.Allow(300)
-	if !b.Failure(301) {
+	// Probe failure re-opens for another full cooldown on its first
+	// failure, without counting to breakerFailures again.
+	at := 20 * Millisecond
+	tripAt(t, b, Time(at))
+	probe := Time(at + breakerCooldown)
+	b.Allow(probe)
+	if !b.Failure(probe + 1) {
 		t.Fatal("failed probe did not re-trip")
 	}
 	if b.State() != BreakerOpen || b.Trips() != 3 {
 		t.Fatalf("state=%v trips=%d, want open/3", b.State(), b.Trips())
 	}
-	if until, err := b.Allow(302); !errors.Is(err, ErrCircuitOpen) || until != 301+100 {
-		t.Fatalf("Allow after re-trip = (%d, %v), want (401, ErrCircuitOpen)", until, err)
+	want := probe + 1 + Time(breakerCooldown)
+	if until, err := b.Allow(probe + 2); !errors.Is(err, ErrCircuitOpen) || until != want {
+		t.Fatalf("Allow after re-trip = (%d, %v), want (%d, ErrCircuitOpen)", until, err, want)
 	}
 }
 
+// TestBreakerDefaults pins the values the replay's fault recovery is
+// documented with: five consecutive failures trip the breaker, and it
+// stays open for 5 ms.
 func TestBreakerDefaults(t *testing.T) {
-	b := NewBreaker(BreakerConfig{})
+	b := NewBreaker()
 	for i := 0; i < 4; i++ {
 		if b.Failure(Time(i)) {
-			t.Fatal("default breaker tripped before 5 failures")
+			t.Fatal("breaker tripped before 5 failures")
 		}
 	}
 	if !b.Failure(4) {
-		t.Fatal("default breaker did not trip at 5 failures")
+		t.Fatal("breaker did not trip at 5 failures")
 	}
 	if until, err := b.Allow(4); err == nil || until != 4+Time(5*Millisecond) {
-		t.Fatalf("default cooldown end = %d, want %d", until, 4+Time(5*Millisecond))
+		t.Fatalf("cooldown end = %d, want %d", until, 4+Time(5*Millisecond))
 	}
 }
 
