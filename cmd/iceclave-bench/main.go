@@ -19,7 +19,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"time"
 
 	"iceclave/internal/core"
@@ -58,7 +57,7 @@ func main() {
 		}
 		tables = all
 	} else {
-		tb, err := one(suite, *exp)
+		tb, err := suite.Experiment(*exp)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -106,46 +105,4 @@ func runProfile(rows int, outPath string) error {
 	}
 	fmt.Printf("profiled %.1fs of serial suite into %s\n", time.Since(start).Seconds(), outPath)
 	return nil
-}
-
-func one(s *experiments.Suite, name string) (*stats.Table, error) {
-	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "table 1":
-		return s.Table1()
-	case "table 3":
-		return s.Table3(), nil
-	case "table 5":
-		return s.Table5()
-	case "table 6":
-		return s.Table6()
-	case "figure 5":
-		return s.Figure5()
-	case "figure 8":
-		return s.Figure8()
-	case "figure 11":
-		return s.Figure11()
-	case "figure 12":
-		return s.Figure12()
-	case "figure 13":
-		return s.Figure13()
-	case "figure 14":
-		return s.Figure14()
-	case "figure 15":
-		return s.Figure15()
-	case "figure 16":
-		return s.Figure16()
-	case "figure 17":
-		return s.Figure17()
-	case "figure 18":
-		return s.Figure18()
-	case "timing", "timing 1":
-		return s.AdmissionTiming()
-	case "trace", "timing 2":
-		return s.TraceTiming()
-	case "fault":
-		return s.FaultTiming()
-	case "fleet":
-		return s.FleetTiming()
-	}
-	return nil, fmt.Errorf("unknown experiment %q", name)
 }

@@ -16,10 +16,8 @@ import (
 	"iceclave/internal/cpu"
 	"iceclave/internal/fault"
 	"iceclave/internal/flash"
-	"iceclave/internal/host"
 	"iceclave/internal/mee"
 	"iceclave/internal/sim"
-	"iceclave/internal/tee"
 	"iceclave/internal/trace"
 )
 
@@ -56,8 +54,13 @@ func (m Mode) String() string {
 // InStorage reports whether the mode computes inside the SSD.
 func (m Mode) InStorage() bool { return m == ModeISC || m == ModeIceClave }
 
-// Config is the full simulator configuration: Table 3 defaults plus the
-// calibration constants documented on each field.
+// Config is what varies across the evaluation: the Table 3 device knobs
+// the sensitivity figures sweep (channels, flash timing, DRAM, the
+// in-storage core), the Figure 5 and Figure 8 protection variants, and
+// the multi-tenant scenario (device floor, admission, arrivals, faults).
+// Everything else a replay uses is a package constant below or a default
+// of its own package: cpu.HostI7, host.DefaultPCIeConfig(),
+// host.DefaultSGXConfig() and tee.DefaultCosts().
 type Config struct {
 	// Channels is the flash channel count (Figure 12/13 sweep).
 	Channels int
@@ -69,42 +72,13 @@ type Config struct {
 	DRAMBytes uint64
 	// StorageCore is the in-storage processor (Figure 15 sweep).
 	StorageCore cpu.Core
-	// StorageCores is the controller core count for multi-tenancy.
-	StorageCores int
-	// HostCore is the host processor.
-	HostCore cpu.Core
-	// PCIe is the external path model.
-	PCIe host.PCIeConfig
-	// SGX is the Host+SGX cost model.
-	SGX host.SGXConfig
-	// Costs are the Table 5 TEE constants.
-	Costs tee.Costs
 	// MEEMode selects the DRAM protection scheme in IceClave mode
 	// (Figure 8 compares ModeHybrid against ModeSplit64 and ModeNone).
 	MEEMode mee.Mode
-	// CounterCacheBytes is the MEE metadata cache (128 KB, §5).
-	CounterCacheBytes uint64
-	// CMTBytes is the protected-region mapping cache capacity.
-	CMTBytes uint64
 	// SecureWorldMapping places the FTL mapping table in the secure world
 	// instead of the protected region, charging a world-switch round trip
 	// per translation — the Figure 5 comparison point.
 	SecureWorldMapping bool
-	// CipherPerPage is the stream-cipher engine latency per 4 KB page
-	// (the 64-bit-per-cycle Trivium engine of §5: ~512 cycles).
-	CipherPerPage sim.Duration
-	// MEESampling drives the counter-cache model with every Nth memory
-	// access and scales the result, bounding replay cost. 1 = exact.
-	MEESampling int
-	// MEEExposure is the fraction of the extra metadata-traffic time that
-	// lands on the critical path; the rest is hidden by memory-level
-	// parallelism. At 0.5, Figure 11 prints IceClave's overhead over ISC
-	// as 4.61%, against the paper's 7.6%; ROADMAP direction 7 records the
-	// gap.
-	MEEExposure float64
-	// PrefetchWindow is the number of outstanding flash reads the
-	// in-storage runtime keeps in flight.
-	PrefetchWindow int
 	// MinFlashPages forces the auto-sized device to at least this many
 	// pages. Multi-tenant experiments set it so solo and collocated runs
 	// execute on identical hardware.
@@ -140,31 +114,48 @@ type Config struct {
 	// the experiment suite's memo keys: two configs share a key only when
 	// they share the plan instance.
 	FaultPlan *fault.Plan
-	// Seed feeds address-synthesis randomness.
-	Seed uint64
 }
 
-// DefaultConfig returns the Table 3 device with calibrated host-side
-// constants.
+// Device and calibration constants every replay uses. The exported ones
+// are printed by the experiment tables or read by the fleet's migration
+// cost.
+const (
+	// StorageCores is the controller core count (Table 3); tenants beyond
+	// it queue for a core.
+	StorageCores = 4
+	// CounterCacheBytes is the MEE metadata cache (128 KB, §5).
+	CounterCacheBytes = 128 << 10
+	// CipherPerPage is the stream-cipher engine latency per 4 KB page
+	// (the 64-bit-per-cycle Trivium engine of §5: ~512 cycles).
+	CipherPerPage = 640 * sim.Nanosecond
+	// MEESampling drives the counter-cache model with every Nth memory
+	// access and scales the result, bounding replay cost.
+	MEESampling = 8
+
+	// cmtBytes is the protected-region mapping cache capacity.
+	cmtBytes = 8 << 20
+	// meeExposure is the fraction of the extra metadata-traffic time that
+	// lands on the critical path; the rest is hidden by memory-level
+	// parallelism. At 0.5, Figure 11 prints IceClave's overhead over ISC
+	// as 4.61%, against the paper's 7.6%; ROADMAP direction 7 records the
+	// gap.
+	meeExposure = 0.5
+	// prefetchWindow is the number of outstanding flash reads the
+	// in-storage runtime keeps in flight for a scan.
+	prefetchWindow = 256
+	// addrSeed feeds address-synthesis randomness; tenant i draws from
+	// addrSeed + 7919*i.
+	addrSeed = 1
+)
+
+// DefaultConfig returns the Table 3 device.
 func DefaultConfig() Config {
 	return Config{
-		Channels:          8,
-		FlashTiming:       flash.DefaultTiming(),
-		DRAMBytes:         4 << 30,
-		StorageCore:       cpu.CortexA72,
-		StorageCores:      4,
-		HostCore:          cpu.HostI7,
-		PCIe:              host.DefaultPCIeConfig(),
-		SGX:               host.DefaultSGXConfig(),
-		Costs:             tee.DefaultCosts(),
-		MEEMode:           mee.ModeHybrid,
-		CounterCacheBytes: 128 << 10,
-		CMTBytes:          8 << 20,
-		CipherPerPage:     640 * sim.Nanosecond,
-		MEESampling:       8,
-		MEEExposure:       0.5,
-		PrefetchWindow:    256,
-		Seed:              1,
+		Channels:    8,
+		FlashTiming: flash.DefaultTiming(),
+		DRAMBytes:   4 << 30,
+		StorageCore: cpu.CortexA72,
+		MEEMode:     mee.ModeHybrid,
 	}
 }
 

@@ -3,202 +3,180 @@ package core
 import (
 	"sync"
 
+	"iceclave/internal/cpu"
 	"iceclave/internal/dram"
 	"iceclave/internal/flash"
 	"iceclave/internal/ftl"
+	"iceclave/internal/host"
 )
 
-// poolKey identifies interchangeable replay stacks: the full simulator
-// configuration plus the geometry it sized for the run's traces. Both are
-// flat comparable values, so the key is a plain map key. Two runs with
-// the same key build bit-identical hardware, which is what makes a reset
-// recycled stack indistinguishable from a fresh one.
-type poolKey struct {
-	cfg Config
-	geo flash.Geometry
+// board is the part of a replay stack that depends on the flash geometry
+// and timing alone: the device and the FTL over it, the CMT, the storage
+// and host CPU complexes, and the PCIe link. Every other size a board has
+// is a package constant, so two boards with equal keys are
+// interchangeable once reset. The storage complex's core is the one
+// Config value a board serves: it is a plain field, set at checkout.
+type board struct {
+	key     boardKey
+	dev     *flash.Device
+	ftl     *ftl.FTL
+	cmt     *ftl.MappingCache
+	storage *cpu.Complex
+	hostCPU *cpu.Complex
+	pcie    *host.PCIe
 }
 
-// cacheKey identifies interchangeable cache components (page cache, CMT)
-// by capacity and line size. Cache geometry depends only on the
-// configuration, not on the flash geometry the traces sized, so these
-// keys have far lower cardinality than poolKey — the default page cache's
-// 8 MB of way arrays are shared across every workload of a configuration.
-type cacheKey struct {
-	bytes    uint64
-	pageSize uint64
-}
-
-// devKey identifies interchangeable device+FTL pairs: same NAND geometry,
-// same command timing.
-type devKey struct {
+// boardKey identifies interchangeable boards.
+type boardKey struct {
 	geo    flash.Geometry
 	timing flash.Timing
 }
 
-// devFTL is a pooled device with the FTL built on top of it; the two are
-// reset and recycled as a unit.
-type devFTL struct {
-	dev *flash.Device
-	f   *ftl.FTL
+func newBoard(k boardKey) (*board, error) {
+	dev, err := flash.NewDevice(k.geo, k.timing)
+	if err != nil {
+		return nil, err
+	}
+	return &board{
+		key:     k,
+		dev:     dev,
+		ftl:     ftl.New(dev),
+		cmt:     ftl.NewMappingCache(cmtBytes, uint64(k.geo.PageSize)),
+		storage: cpu.NewComplex(cpu.CortexA72, StorageCores),
+		hostCPU: cpu.NewComplex(cpu.HostI7, 1),
+		pcie:    host.NewPCIe(host.DefaultPCIeConfig()),
+	}, nil
+}
+
+// reset returns every part of a recycled board to its post-construction
+// state — the reset contract of ARCHITECTURE.md: device page states,
+// payloads, and erase bookkeeping; FTL mapping table, free pools, and
+// in-flight markers; the CMT; the CPU and PCIe servers.
+func (b *board) reset() {
+	b.dev.Reset()
+	b.ftl.Reset()
+	b.cmt.Reset()
+	b.storage.Reset()
+	b.hostCPU.Reset()
+	b.pcie.Reset()
 }
 
 // PoolStats is a snapshot of the resource pool's activity: how many
-// replay setups were served from a recycled stack (Hits) versus a fresh
-// or partially recycled build (Misses), and the total wall-clock time
-// spent in replay setup (reset or construction, plus prepopulation).
-// Misses also count setups performed while pooling was disabled.
+// replay set-ups recycled a board (Hits) versus built one (Misses), and
+// the total wall-clock time spent in replay set-up (reset or
+// construction, plus prepopulation). Misses also count set-ups performed
+// while pooling was disabled.
 type PoolStats struct {
 	Hits    int64
 	Misses  int64
 	SetupNs int64
 }
 
-// resourcePool recycles replay stacks across runs, at two granularities.
-// A whole stack that matches an upcoming run's (Config, Geometry) key is
-// reused as-is — the zero-alloc path. A stack whose key has rotated out
-// is disassembled on release: its page cache, CMT, and device+FTL pair
-// drop into component pools with coarser keys, so even a full-stack miss
-// reuses the allocations that dominate setup (the page cache's way arrays
-// above all). Checked-out resources are owned exclusively by one run —
-// the pool's mutex hands them over with a happens-before edge, so
-// concurrent suite workers are race-free without any locking inside the
-// resources themselves. Idle stacks and components are reset on acquire,
-// not release, so a recycled stack is provably fresh at the moment of
-// use and the reset cost lands in the setup accounting.
+// resourcePool recycles the two expensive parts of a replay stack across
+// runs: boards, keyed by geometry and timing, and page caches, keyed by
+// capacity (the default one's way arrays are 8 MB). A run whose
+// configuration differs from the last only in what its tenants do — MEE
+// mode, mapping placement, core, admission, arrivals, faults — reuses
+// both. Checked-out parts are owned exclusively by one run: the pool's
+// mutex hands them over with a happens-before edge, so concurrent suite
+// workers are race-free without any locking inside the parts
+// themselves. Idle parts are reset on checkout, not release, so a
+// recycled stack is provably fresh at the moment of use and the reset
+// cost lands in the set-up accounting.
 type resourcePool struct {
 	mu      sync.Mutex
-	idle    map[poolKey][]*resources
-	idleLen int
-	pages   map[cacheKey][]*dram.PageCache
-	pageLen int
-	cmts    map[cacheKey][]*ftl.MappingCache
-	cmtLen  int
-	devs    map[devKey][]devFTL
-	devLen  int
+	boards  idle[boardKey, *board]
+	pages   idle[uint64, *dram.PageCache]
 	enabled bool
 	stats   PoolStats
 }
 
-// Idle caps. Whole stacks pin the most memory (each holds a page cache),
-// so their pool stays small — the suite's dominant repeat pattern is the
-// same (config, workload) replayed across modes back to back, which a
-// shallow pool already serves. Component pools are bounded per key and
-// in total so a long run cannot pin unbounded idle memory.
+// Idle caps: per key, so one workload's repeats cannot crowd out the
+// rest, and per kind, so a long run cannot pin unbounded idle memory.
 const (
 	poolMaxIdlePerKey = 2
-	poolMaxIdleTotal  = 8
-
-	poolMaxPartsPerKey = 2
-	poolMaxPagesTotal  = 8
-	poolMaxCMTsTotal   = 16
-	poolMaxDevsTotal   = 16
+	poolMaxBoards     = 16
+	poolMaxPageCaches = 8
 )
 
 var pool = resourcePool{
-	idle:    make(map[poolKey][]*resources),
-	pages:   make(map[cacheKey][]*dram.PageCache),
-	cmts:    make(map[cacheKey][]*ftl.MappingCache),
-	devs:    make(map[devKey][]devFTL),
+	boards:  idle[boardKey, *board]{max: poolMaxBoards},
+	pages:   idle[uint64, *dram.PageCache]{max: poolMaxPageCaches},
 	enabled: true,
 }
 
-// acquire pops an idle stack for key, or returns nil when the caller must
-// build (pool empty for the key, or pooling disabled).
-func (p *resourcePool) acquire(key poolKey) *resources {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	list := p.idle[key]
-	if !p.enabled || len(list) == 0 {
-		p.stats.Misses++
-		return nil
-	}
-	res := list[len(list)-1]
-	list[len(list)-1] = nil
-	p.idle[key] = list[:len(list)-1]
-	p.idleLen--
-	p.stats.Hits++
-	return res
+// idle holds the idle parts of one kind: at most poolMaxIdlePerKey per
+// key and max in all. The caller holds the pool's mutex.
+type idle[K comparable, V any] struct {
+	byKey map[K][]V
+	n     int
+	max   int
 }
 
-// acquirePage pops a pooled page cache of the right capacity, nil if none.
-func (p *resourcePool) acquirePage(k cacheKey) *dram.PageCache {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	list := p.pages[k]
-	if !p.enabled || len(list) == 0 {
-		return nil
+// take pops an idle part for k, or returns the zero V when none is idle.
+func (l *idle[K, V]) take(k K) V {
+	var zero V
+	list := l.byKey[k]
+	if len(list) == 0 {
+		return zero
 	}
-	pc := list[len(list)-1]
-	list[len(list)-1] = nil
-	p.pages[k] = list[:len(list)-1]
-	p.pageLen--
-	return pc
+	v := list[len(list)-1]
+	list[len(list)-1] = zero
+	l.byKey[k] = list[:len(list)-1] // keep the array for the next put
+	l.n--
+	return v
 }
 
-// acquireCMT pops a pooled mapping cache of the right capacity, nil if none.
-func (p *resourcePool) acquireCMT(k cacheKey) *ftl.MappingCache {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	list := p.cmts[k]
-	if !p.enabled || len(list) == 0 {
-		return nil
+// put keeps v for reuse under k unless a cap is reached, in which case v
+// is left to the garbage collector.
+func (l *idle[K, V]) put(k K, v V) {
+	if l.n >= l.max || len(l.byKey[k]) >= poolMaxIdlePerKey {
+		return
 	}
-	c := list[len(list)-1]
-	list[len(list)-1] = nil
-	p.cmts[k] = list[:len(list)-1]
-	p.cmtLen--
-	return c
+	if l.byKey == nil {
+		l.byKey = make(map[K][]V)
+	}
+	l.byKey[k] = append(l.byKey[k], v)
+	l.n++
 }
 
-// acquireDev pops a pooled device+FTL pair for the geometry and timing,
-// reporting whether one was found.
-func (p *resourcePool) acquireDev(k devKey) (devFTL, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	list := p.devs[k]
-	if !p.enabled || len(list) == 0 {
-		return devFTL{}, false
-	}
-	d := list[len(list)-1]
-	list[len(list)-1] = devFTL{}
-	p.devs[k] = list[:len(list)-1]
-	p.devLen--
-	return d, true
+// empty drops every idle part.
+func (l *idle[K, V]) empty() {
+	l.byKey = nil
+	l.n = 0
 }
 
-// release returns a finished run's stack to the pool: whole if its key
-// still has room, otherwise disassembled into the component pools.
-// Whatever exceeds every cap is dropped for the garbage collector.
-func (p *resourcePool) release(res *resources) {
+// checkout pops an idle board and page cache for the keys; each is nil
+// when the caller must build it (none idle, or pooling disabled). The
+// set-up counts as a hit when the board was recycled.
+func (p *resourcePool) checkout(bk boardKey, pageCacheBytes uint64) (*board, *dram.PageCache) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if !p.enabled {
-		return
+		p.stats.Misses++
+		return nil, nil
 	}
-	if list := p.idle[res.key]; p.idleLen < poolMaxIdleTotal && len(list) < poolMaxIdlePerKey {
-		p.idle[res.key] = append(list, res)
-		p.idleLen++
-		return
+	b := p.boards.take(bk)
+	if b != nil {
+		p.stats.Hits++
+	} else {
+		p.stats.Misses++
 	}
-	ps := uint64(res.key.geo.PageSize)
-	if k := (cacheKey{pageCacheBytes(res.cfg, ps), ps}); p.pageLen < poolMaxPagesTotal &&
-		len(p.pages[k]) < poolMaxPartsPerKey {
-		p.pages[k] = append(p.pages[k], res.pageCache)
-		p.pageLen++
-	}
-	if k := (cacheKey{res.cfg.CMTBytes, ps}); p.cmtLen < poolMaxCMTsTotal &&
-		len(p.cmts[k]) < poolMaxPartsPerKey {
-		p.cmts[k] = append(p.cmts[k], res.cmt)
-		p.cmtLen++
-	}
-	if k := (devKey{res.key.geo, res.cfg.FlashTiming}); p.devLen < poolMaxDevsTotal &&
-		len(p.devs[k]) < poolMaxPartsPerKey {
-		p.devs[k] = append(p.devs[k], devFTL{res.dev, res.ftl})
-		p.devLen++
+	return b, p.pages.take(pageCacheBytes)
+}
+
+// release returns a finished run's board and page cache to the pool.
+// Whatever exceeds a cap is dropped for the garbage collector.
+func (p *resourcePool) release(res *resources) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.enabled {
+		p.boards.put(res.board.key, res.board)
+		p.pages.put(res.pageCache.Capacity(), res.pageCache)
 	}
 }
 
-// addSetup accounts one replay setup's wall-clock cost.
+// addSetup accounts one replay set-up's wall-clock cost.
 func (p *resourcePool) addSetup(ns int64) {
 	p.mu.Lock()
 	p.stats.SetupNs += ns
@@ -206,8 +184,8 @@ func (p *resourcePool) addSetup(ns int64) {
 }
 
 // SetPooling enables or disables replay-stack recycling. Pooling is on by
-// default; the differential tests turn it off to force every setup down
-// the allocation path. Disabling does not drop already-pooled stacks —
+// default; the differential tests turn it off to force every set-up down
+// the allocation path. Disabling does not drop already-pooled parts —
 // call ResetPool for that.
 func SetPooling(on bool) {
 	pool.mu.Lock()
@@ -215,18 +193,12 @@ func SetPooling(on bool) {
 	pool.mu.Unlock()
 }
 
-// ResetPool drops every idle pooled stack and component and zeroes the
-// pool counters.
+// ResetPool drops every idle board and page cache and zeroes the pool
+// counters.
 func ResetPool() {
 	pool.mu.Lock()
-	pool.idle = make(map[poolKey][]*resources)
-	pool.idleLen = 0
-	pool.pages = make(map[cacheKey][]*dram.PageCache)
-	pool.pageLen = 0
-	pool.cmts = make(map[cacheKey][]*ftl.MappingCache)
-	pool.cmtLen = 0
-	pool.devs = make(map[devKey][]devFTL)
-	pool.devLen = 0
+	pool.boards.empty()
+	pool.pages.empty()
 	pool.stats = PoolStats{}
 	pool.mu.Unlock()
 }

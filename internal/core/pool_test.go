@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"iceclave/internal/cpu"
 	"iceclave/internal/mee"
 	"iceclave/internal/workload"
 )
@@ -49,8 +50,86 @@ func TestPooledRunIdenticalToFresh(t *testing.T) {
 	}
 }
 
+// TestRecycledBoardServesItsConfig pins the two Config values a board
+// depends on: the flash timing it is keyed by, and the in-storage core it
+// takes at checkout. After a default-config run pools its board, a run
+// of each changed config must replay exactly as a fresh stack of that
+// config — recycling the board when only the core differs — and
+// differently from the default.
+func TestRecycledBoardServesItsConfig(t *testing.T) {
+	t.Cleanup(func() { SetPooling(true); ResetPool() })
+	tr := recordTrace(t, "TPC-H Q1")
+	for _, tc := range []struct {
+		name    string
+		mode    Mode
+		set     func(*Config)
+		recycle bool
+	}{
+		{"storage core", ModeISC, func(c *Config) { c.StorageCore = cpu.CortexA53 }, true},
+		{"flash timing", ModeHost, func(c *Config) { c.FlashTiming.ReadLatency *= 2 }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			tc.set(&cfg)
+			SetPooling(false)
+			ResetPool()
+			fresh, err := Run(tr, tc.mode, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			SetPooling(true)
+			def, err := Run(tr, tc.mode, DefaultConfig()) // pools a default board
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Run(tr, tc.mode, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fresh == def {
+				t.Fatalf("a fresh stack replays the changed config as the default: %+v", fresh)
+			}
+			if st := PoolSnapshot(); (st.Hits == 1) != tc.recycle {
+				t.Fatalf("pool %+v after the changed run, want it to recycle the board: %v", st, tc.recycle)
+			}
+			if got != fresh {
+				t.Fatalf("pooled run diverges from a fresh stack:\n%+v\nvs\n%+v", got, fresh)
+			}
+		})
+	}
+}
+
+// TestPoolIdlePageCachesBounded pins the pool's idle memory: replays
+// whose configurations differ only in MEEMode differ in no hardware, so
+// the second and third recycle the first's board and page cache, and the
+// pool ends holding at most two idle page caches of the default capacity
+// (8 MB of way arrays each), not one per configuration.
+func TestPoolIdlePageCachesBounded(t *testing.T) {
+	t.Cleanup(func() { SetPooling(true); ResetPool() })
+	tr := recordTrace(t, "Filter")
+	SetPooling(true)
+	ResetPool()
+	for _, m := range []mee.Mode{mee.ModeHybrid, mee.ModeSplit64, mee.ModeNone} {
+		cfg := DefaultConfig()
+		cfg.MEEMode = m
+		if _, err := Run(tr, ModeIceClave, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	capacity := pageCacheBytes(DefaultConfig(), 4096)
+	pool.mu.Lock()
+	idle := len(pool.pages.byKey[capacity])
+	pool.mu.Unlock()
+	if idle == 0 || idle > 2 {
+		t.Fatalf("pool holds %d idle %d MB page caches after three MEE modes, want 1 or 2", idle, capacity>>20)
+	}
+	if st := PoolSnapshot(); st.Hits != 2 || st.Misses != 1 {
+		t.Fatalf("three MEE modes on one device: %+v, want 2 recycled boards and 1 build", st)
+	}
+}
+
 // TestPooledAcquireAllocsO1 pins the zero-alloc promise: once the pool is
-// warm, a full replay setup (acquire, reset, prepopulate, seal) allocates
+// warm, a full replay setup (checkout, reset, prepopulate, seal) allocates
 // a handful of objects — and the count must not scale with the device
 // geometry, only the trace drives the work.
 func TestPooledAcquireAllocsO1(t *testing.T) {

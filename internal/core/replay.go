@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"iceclave/internal/cpu"
 	"iceclave/internal/dram"
 	"iceclave/internal/fault"
 	"iceclave/internal/flash"
@@ -14,6 +13,7 @@ import (
 	"iceclave/internal/mee"
 	"iceclave/internal/sched"
 	"iceclave/internal/sim"
+	"iceclave/internal/tee"
 	"iceclave/internal/workload"
 )
 
@@ -78,20 +78,14 @@ func (r Result) SpeedupOver(other Result) float64 {
 	return float64(other.Total) / float64(r.Total)
 }
 
-// resources is the shared hardware one replay run executes against.
-// Tenants contend on everything here. A resources instance is owned by
-// exactly one run at a time; between runs it may rest in the resource
-// pool keyed by key, and reset recycles it (see pool.go).
+// resources is the shared hardware one replay run executes against: a
+// board and a page cache, both recycled through the resource pool (see
+// pool.go). Tenants contend on everything here. A resources instance is
+// owned by exactly one run.
 type resources struct {
+	*board
 	cfg       Config
-	key       poolKey
-	dev       *flash.Device
-	ftl       *ftl.FTL
-	cmt       *ftl.MappingCache
 	pageCache *dram.PageCache
-	storage   *cpu.Complex
-	hostCPU   *cpu.Complex
-	pcie      *host.PCIe
 }
 
 // pageCacheBytes returns the page cache capacity cfg sizes for page size
@@ -109,66 +103,6 @@ func pageCacheBytes(cfg Config, ps uint64) uint64 {
 	return sets * ps * 8
 }
 
-// buildResources assembles a replay stack for cfg over geo, pulling each
-// component from its pool when a compatible one is idle (reset on
-// acquire) and allocating only what is missing. The page cache — the
-// single most expensive allocation in setup — depends only on the
-// configuration, so it recycles across workloads whose flash geometries
-// differ.
-func buildResources(cfg Config, key poolKey) (*resources, error) {
-	ps := uint64(key.geo.PageSize)
-	df, ok := pool.acquireDev(devKey{key.geo, cfg.FlashTiming})
-	if ok {
-		df.dev.Reset()
-		df.f.Reset()
-	} else {
-		dev, err := flash.NewDevice(key.geo, cfg.FlashTiming)
-		if err != nil {
-			return nil, err
-		}
-		df = devFTL{dev, ftl.New(dev)}
-	}
-	pcBytes := pageCacheBytes(cfg, ps)
-	pc := pool.acquirePage(cacheKey{pcBytes, ps})
-	if pc != nil {
-		pc.Reset()
-	} else {
-		pc = dram.NewPageCache(pcBytes, ps)
-	}
-	cmt := pool.acquireCMT(cacheKey{cfg.CMTBytes, ps})
-	if cmt != nil {
-		cmt.Reset()
-	} else {
-		cmt = ftl.NewMappingCache(cfg.CMTBytes, ps)
-	}
-	return &resources{
-		cfg:       cfg,
-		key:       key,
-		dev:       df.dev,
-		ftl:       df.f,
-		cmt:       cmt,
-		pageCache: pc,
-		storage:   cpu.NewComplex(cfg.StorageCore, cfg.StorageCores),
-		hostCPU:   cpu.NewComplex(cfg.HostCore, 1),
-		pcie:      host.NewPCIe(cfg.PCIe),
-	}, nil
-}
-
-// reset returns every layer of a recycled stack to its post-construction
-// state — the full reset contract of ARCHITECTURE.md: device page states,
-// payloads, and erase bookkeeping; FTL mapping table, free pools, and
-// in-flight markers; both caches; CPU, and PCIe servers. After reset the
-// stack is indistinguishable from buildResources output.
-func (r *resources) reset() {
-	r.dev.Reset()
-	r.ftl.Reset()
-	r.cmt.Reset()
-	r.pageCache.Reset()
-	r.storage.Reset()
-	r.hostCPU.Reset()
-	r.pcie.Reset()
-}
-
 // sealSetup is the single post-setup reset point between prepopulation
 // and the measured replay: it clears device timing reservations and
 // device stats AND the FTL's activity counters, so setup writes leak into
@@ -181,31 +115,50 @@ func (r *resources) sealSetup() {
 	r.ftl.ResetStats()
 }
 
+// Footprint returns the flash pages the traces' tenants occupy: each
+// one's dataset and the pages it writes, plus 1024 pages of slack. A
+// replay gives every tenant of a mix the largest single footprint;
+// experiments size a mix's device (Config.MinFlashPages) by the sum, so
+// solo and collocated runs execute on identical hardware.
+func Footprint(traces ...*workload.Trace) int64 {
+	var pages int64
+	for _, tr := range traces {
+		pages += int64(tr.SetupPages) + tr.Meter.PagesWritten + 1024
+	}
+	return pages
+}
+
 // newResources sizes and populates the device for the given traces: each
-// tenant's logical pages are placed at a disjoint LPA offset. The stack
-// comes from the resource pool when a matching idle one exists (reset on
-// acquire), otherwise from a fresh build.
+// tenant's logical pages are placed at a disjoint LPA offset. The board
+// and page cache come from the resource pool when matching idle ones
+// exist (reset on checkout), otherwise from a fresh build.
 func newResources(cfg Config, traces []*workload.Trace) (*resources, []uint32, error) {
 	start := time.Now()
 	stride := int64(0)
 	for _, tr := range traces {
-		s := int64(tr.SetupPages) + int64(tr.Meter.PagesWritten) + 1024
-		if s > stride {
-			stride = s
-		}
+		stride = max(stride, Footprint(tr))
 	}
 	totalPages := stride * int64(len(traces))
 	geo, err := cfg.geometryFor(totalPages)
 	if err != nil {
 		return nil, nil, err
 	}
-	key := poolKey{cfg: cfg, geo: geo}
-	res := pool.acquire(key)
-	if res != nil {
-		res.reset()
-	} else if res, err = buildResources(cfg, key); err != nil {
+	key := boardKey{geo, cfg.FlashTiming}
+	ps := uint64(geo.PageSize)
+	pcBytes := pageCacheBytes(cfg, ps)
+	b, pc := pool.checkout(key, pcBytes)
+	if b != nil {
+		b.reset()
+	} else if b, err = newBoard(key); err != nil {
 		return nil, nil, err
 	}
+	b.storage.Core = cfg.StorageCore
+	if pc != nil {
+		pc.Reset()
+	} else {
+		pc = dram.NewPageCache(pcBytes, ps)
+	}
+	res := &resources{board: b, cfg: cfg, pageCache: pc}
 	f := res.ftl
 	if f.LogicalPages() < totalPages {
 		return nil, nil, fmt.Errorf("core: sized %d logical pages, need %d", f.LogicalPages(), totalPages)
@@ -305,7 +258,7 @@ func newTenant(res *resources, tr *workload.Trace, mode Mode, offset uint32, see
 	// Scans prefetch deeply (streaming readahead); transactional traces
 	// have dependent point accesses, so their effective queue depth is
 	// the modest transaction-level concurrency.
-	t.window = res.cfg.PrefetchWindow
+	t.window = prefetchWindow
 	if len(tr.Steps) > 0 && float64(writes)/float64(len(tr.Steps)) > 0.05 {
 		t.window = 8
 	}
@@ -317,14 +270,10 @@ func newTenant(res *resources, tr *workload.Trace, mode Mode, offset uint32, see
 		t.heapPages = maxHeapPages
 	}
 	if mode == ModeIceClave {
-		sampling := res.cfg.MEESampling
-		if sampling < 1 {
-			sampling = 1
-		}
 		t.meeM = mee.NewTrafficModel(mee.TrafficConfig{
 			Mode:              res.cfg.MEEMode,
-			CounterCacheBytes: res.cfg.CounterCacheBytes,
-			SampleWeight:      sampling,
+			CounterCacheBytes: CounterCacheBytes,
+			SampleWeight:      MEESampling,
 		})
 		// The intermediate/result region of the TEE heap is writable;
 		// input pages default to read-only.
@@ -410,7 +359,7 @@ func (t *tenant) computePhase(st workload.Step) {
 			t.result.ComputeTime += base
 			t.now = done
 			if t.mode == ModeHostSGX {
-				pen := t.res.cfg.SGX.ComputePenalty(base, int64(t.trace.PageSize))
+				pen := host.DefaultSGXConfig().ComputePenalty(base, int64(t.trace.PageSize))
 				t.now += pen
 				t.result.SecurityTime += pen
 			}
@@ -426,7 +375,7 @@ func (t *tenant) computePhase(st workload.Step) {
 // them (sampled) through the counter-cache model's bulk APIs. Heap traffic
 // (hash tables, aggregation state, intermediate buffers) follows a skewed
 // distribution — hot structures dominate — and the exposed cost of the
-// extra metadata traffic is scaled by MEEExposure because memory-level
+// extra metadata traffic is scaled by meeExposure because memory-level
 // parallelism overlaps most of it with execution.
 //
 // This is the hottest loop in the whole experiment suite: every replayed
@@ -438,10 +387,7 @@ func (t *tenant) computePhase(st workload.Step) {
 // order, and RNG draws — is exactly the per-line loop's, so every
 // reported statistic is unchanged (mee's differential suite pins it).
 func (t *tenant) chargeMEE(st workload.Step) {
-	sampling := int64(t.res.cfg.MEESampling)
-	if sampling < 1 {
-		sampling = 1
-	}
+	const sampling = MEESampling
 	var extra sim.Duration
 	// Input page scan: sequential read-only lines at the page's address,
 	// every sampling-th line.
@@ -473,7 +419,7 @@ func (t *tenant) chargeMEE(st workload.Step) {
 	}
 	extra += t.meeM.AccessMany(addrs[:nr], false)
 	extra += t.meeM.AccessMany(addrs[nr:], true)
-	exposed := sim.Duration(float64(extra) * t.res.cfg.MEEExposure)
+	exposed := sim.Duration(float64(extra) * meeExposure)
 	t.now += exposed
 	t.result.SecurityTime += exposed
 }
@@ -487,7 +433,6 @@ func (t *tenant) chargeMEE(st workload.Step) {
 // refills). consumeRead surfaces the error once consumption catches up
 // to the failed issue, clearing it so the scheduled retry reissues.
 func (t *tenant) issueAhead() {
-	cfg := t.res.cfg
 	if t.readErr != nil {
 		return
 	}
@@ -524,7 +469,7 @@ func (t *tenant) issueAhead() {
 			// The stream cipher engine decrypts inline at bus rate; its
 			// per-page latency extends the read completion but is hidden
 			// by prefetching unless the read is on the critical path.
-			done += cfg.CipherPerPage
+			done += CipherPerPage
 		}
 		if !t.mode.InStorage() {
 			// Ship to host memory over PCIe with amortized command cost.
@@ -551,7 +496,7 @@ func (t *tenant) readPhase(st workload.Step, lpa ftl.LPA) error {
 		t.secMapPending++
 		if t.secMapPending >= secMapBatch {
 			t.secMapPending = 0
-			sw := 2 * cfg.Costs.WorldSwitch
+			sw := 2 * tee.DefaultCosts().WorldSwitch
 			t.now += sw
 			t.result.TEETime += sw
 		}
@@ -560,7 +505,7 @@ func (t *tenant) readPhase(st workload.Step, lpa ftl.LPA) error {
 			t.cmtHit++
 		} else {
 			t.cmtMiss++
-			pen := 2*cfg.Costs.WorldSwitch + cfg.FlashTiming.ReadLatency
+			pen := 2*tee.DefaultCosts().WorldSwitch + cfg.FlashTiming.ReadLatency
 			t.now += pen
 			t.result.TEETime += pen
 		}
@@ -675,8 +620,8 @@ func (t *tenant) start(granted sim.Time, eng *sim.Engine, adm *sched.Gate, ticke
 	t.now = granted
 	t.result.QueueDelay = sim.Duration(granted - t.arrival)
 	if t.mode == ModeIceClave {
-		t.now += t.res.cfg.Costs.Create
-		t.result.TEETime += t.res.cfg.Costs.Create
+		t.now += tee.DefaultCosts().Create
+		t.result.TEETime += tee.DefaultCosts().Create
 	}
 	t.next = func(sim.Time) { t.stepEvent(eng, adm, ticket) }
 	t.stepEvent(eng, adm, ticket)
@@ -747,8 +692,8 @@ func (t *tenant) fail(adm *sched.Gate, ticket *sched.Ticket) {
 	t.retry = nil
 	t.step = len(t.trace.Steps) + 2 // past done: never advances again
 	if t.mode == ModeIceClave {
-		t.now += t.res.cfg.Costs.Delete
-		t.result.TEETime += t.res.cfg.Costs.Delete
+		t.now += tee.DefaultCosts().Delete
+		t.result.TEETime += tee.DefaultCosts().Delete
 	}
 	adm.Release(ticket, t.now)
 }
@@ -760,8 +705,8 @@ func (t *tenant) fail(adm *sched.Gate, ticket *sched.Ticket) {
 func (t *tenant) stepEvent(eng *sim.Engine, adm *sched.Gate, ticket *sched.Ticket) {
 	if t.done() {
 		if t.mode == ModeIceClave {
-			t.now += t.res.cfg.Costs.Delete
-			t.result.TEETime += t.res.cfg.Costs.Delete
+			t.now += tee.DefaultCosts().Delete
+			t.result.TEETime += tee.DefaultCosts().Delete
 		}
 		adm.Release(ticket, t.now)
 		return
@@ -874,7 +819,7 @@ func RunMultiStats(traces []*workload.Trace, mode Mode, cfg Config) ([]Result, R
 	tenants := make([]*tenant, len(traces))
 	tickets := make([]*sched.Ticket, len(traces))
 	for i, tr := range traces {
-		tn := newTenant(res, tr, mode, offsets[i], cfg.Seed+uint64(i)*7919)
+		tn := newTenant(res, tr, mode, offsets[i], addrSeed+uint64(i)*7919)
 		tn.arrival = arrivals[i].At
 		if injecting {
 			tn.faults = plan

@@ -79,6 +79,22 @@ func TestTable3Config(t *testing.T) {
 	}
 }
 
+// TestExperimentLookup pins the -experiment lookup: an artifact ID in
+// any case, padded or not, selects that artifact, and a name All does not
+// use — the retired "timing" alias among them — is an error.
+func TestExperimentLookup(t *testing.T) {
+	s := testSuite()
+	tb, err := s.Experiment("  table 3 ")
+	if err != nil || tb.ID != "Table 3" {
+		t.Fatalf("Experiment(\"  table 3 \") = %v, %v; want Table 3", tb, err)
+	}
+	for _, name := range []string{"timing", "Figure 99", ""} {
+		if _, err := s.Experiment(name); err == nil || !strings.Contains(err.Error(), "unknown experiment") {
+			t.Fatalf("Experiment(%q) error = %v, want unknown experiment", name, err)
+		}
+	}
+}
+
 func TestTable5Overheads(t *testing.T) {
 	s := testSuite()
 	tb, err := s.Table5()

@@ -120,7 +120,7 @@ func (s *Suite) FaultReplaySummary() (FaultReplaySummary, error) {
 		if err != nil {
 			return FaultReplaySummary{}, err
 		}
-		totalPages += int64(tr.SetupPages) + tr.Meter.PagesWritten + 1024
+		totalPages += core.Footprint(tr)
 		work[i] = tr.Meter.PagesRead + tr.Meter.PagesWritten
 	}
 	out := FaultReplaySummary{Mix: faultMix, Slots: FaultReplaySlots,

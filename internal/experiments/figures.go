@@ -306,20 +306,18 @@ func (s *Suite) multiTenant(id, title string, mixes [][]string) (*stats.Table, e
 	err := s.mapIndexed(len(mixes), func(i int) error {
 		mix := mixes[i]
 		var traces []*workload.Trace
-		var totalPages int64
 		for _, name := range mix {
 			tr, err := s.Trace(name)
 			if err != nil {
 				return err
 			}
 			traces = append(traces, tr)
-			totalPages += int64(tr.SetupPages) + tr.Meter.PagesWritten + 1024
 		}
 		// Solo and collocated runs execute on identical hardware: the
 		// device is sized for the whole mix in both cases. Solo runs go
 		// through the memo, so mixes sharing a sizing replay them once.
 		cfg := s.Config
-		cfg.MinFlashPages = totalPages
+		cfg.MinFlashPages = core.Footprint(traces...)
 		solo := make([]core.Result, len(mix))
 		for j, name := range mix {
 			r, err := s.runCfg(name, core.ModeIceClave, cfg)

@@ -135,7 +135,7 @@ func (s *Suite) fleetTenants() ([]fleet.ReplayTenant, error) {
 func (s *Suite) fleetBase(tenants []fleet.ReplayTenant) core.Config {
 	var totalPages int64
 	for _, tn := range tenants {
-		totalPages += int64(tn.Trace.SetupPages) + tn.Trace.Meter.PagesWritten + 1024
+		totalPages += core.Footprint(tn.Trace)
 	}
 	cfg := s.Config
 	cfg.MinFlashPages = totalPages

@@ -400,3 +400,15 @@ func (s *Suite) All() ([]*stats.Table, error) {
 	}
 	return out, nil
 }
+
+// Experiment regenerates the one artifact whose ID (as All names it:
+// "Table 6", "Figure 11", "Timing 1", "Fault", ...) matches name,
+// ignoring case and surrounding space.
+func (s *Suite) Experiment(name string) (*stats.Table, error) {
+	for _, g := range s.generators() {
+		if strings.EqualFold(g.name, strings.TrimSpace(name)) {
+			return g.fn()
+		}
+	}
+	return nil, fmt.Errorf("unknown experiment %q", name)
+}

@@ -4,8 +4,10 @@ import (
 	"fmt"
 
 	"iceclave/internal/core"
+	"iceclave/internal/cpu"
 	"iceclave/internal/flash"
 	"iceclave/internal/ftl"
+	"iceclave/internal/host"
 	"iceclave/internal/stats"
 	"iceclave/internal/tee"
 	"iceclave/internal/workload"
@@ -52,7 +54,7 @@ func (s *Suite) Table3() *stats.Table {
 		Header: []string{"Component", "Setting"},
 	}
 	t.AddRow("SSD Processor", c.StorageCore.Name)
-	t.AddRow("Processor cores", c.StorageCores)
+	t.AddRow("Processor cores", core.StorageCores)
 	t.AddRow("SSD DRAM", fmt.Sprintf("%d MB", c.DRAMBytes>>20))
 	t.AddRow("Flash channels", c.Channels)
 	t.AddRow("Organization/channel", "4 chips x 4 dies x 2 planes")
@@ -60,10 +62,11 @@ func (s *Suite) Table3() *stats.Table {
 	t.AddRow("tRD", c.FlashTiming.ReadLatency.String())
 	t.AddRow("tPROG", c.FlashTiming.ProgramLatency.String())
 	t.AddRow("Channel bandwidth", fmt.Sprintf("%.0f MB/s", c.FlashTiming.ChannelBandwidth/(1<<20)))
-	t.AddRow("Counter cache", fmt.Sprintf("%d KB", c.CounterCacheBytes>>10))
-	t.AddRow("Host CPU", c.HostCore.Name)
+	t.AddRow("Counter cache", fmt.Sprintf("%d KB", core.CounterCacheBytes>>10))
+	t.AddRow("Host CPU", cpu.HostI7.Name)
+	pcie := host.DefaultPCIeConfig()
 	t.AddRow("PCIe link", fmt.Sprintf("%.1f GB/s, %v/cmd, %d KB payload",
-		c.PCIe.BytesPerSec/1e9, c.PCIe.PerCommand, c.PCIe.MaxPayload>>10))
+		pcie.BytesPerSec/1e9, pcie.PerCommand, pcie.MaxPayload>>10))
 	return t
 }
 
@@ -75,7 +78,7 @@ func (s *Suite) Table5() (*stats.Table, error) {
 		Title:  "Overhead source of IceClave",
 		Header: []string{"Overhead source", "Paper", "Model"},
 	}
-	costs := s.Config.Costs
+	costs := tee.DefaultCosts()
 	// Measure the functional runtime's lifecycle costs on a small device.
 	geo := flash.Geometry{Channels: 2, ChipsPerChannel: 1, DiesPerChip: 1,
 		PlanesPerDie: 1, BlocksPerPlane: 16, PagesPerBlock: 16, PageSize: 4096}
@@ -148,6 +151,6 @@ func (s *Suite) Table6() (*stats.Table, error) {
 		return nil, err
 	}
 	addRows(t, rows)
-	t.AddNote("traffic sampled 1/%d and scaled; see EXPERIMENTS.md for the address-synthesis approximation", s.Config.MEESampling)
+	t.AddNote("traffic sampled 1/%d and scaled; see EXPERIMENTS.md for the address-synthesis approximation", core.MEESampling)
 	return t, nil
 }

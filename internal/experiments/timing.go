@@ -45,7 +45,7 @@ func (s *Suite) AdmissionTiming() (*stats.Table, error) {
 			if err != nil {
 				return err
 			}
-			totalPages += int64(tr.SetupPages) + tr.Meter.PagesWritten + 1024
+			totalPages += core.Footprint(tr)
 		}
 		// Sizing matches multiTenant's formula, so the uncapped run of a
 		// mix Figure 18 also replays is a memo hit, not a second replay.

@@ -8,7 +8,6 @@ import (
 	"iceclave/internal/sim"
 	"iceclave/internal/stats"
 	"iceclave/internal/trace"
-	"iceclave/internal/workload"
 )
 
 // TraceReplaySlots is the admission cap the trace-replay scenario runs
@@ -47,12 +46,10 @@ type TraceReplaySummary struct {
 	Bands   []TraceBandStat // highest band first
 }
 
-// traceScenario parses the embedded bursty fixture once per suite and
-// resolves each submission onto a standard workload (by name when the
-// trace names one, else deterministically via workload.ByTraceKey). The
-// schedule pointer is cached so every experiment and rerun shares one
-// instance — which is what lets the memo layer key open-loop replays by
-// schedule identity.
+// traceScenario parses the embedded bursty fixture once per suite; each
+// submission names a standard workload. The schedule pointer is cached so
+// every experiment and rerun shares one instance — which is what lets the
+// memo layer key open-loop replays by schedule identity.
 func (s *Suite) traceScenario() (*trace.Schedule, []string, error) {
 	s.traceOnce.Do(func() {
 		entries, _, err := trace.ReadBytes(trace.FixtureBursty)
@@ -63,12 +60,7 @@ func (s *Suite) traceScenario() (*trace.Schedule, []string, error) {
 		sched := trace.BuildSchedule(entries)
 		mix := make([]string, len(sched.Submissions))
 		for i, sub := range sched.Submissions {
-			name := sub.Workload
-			if _, err := workload.ByName(name); err != nil {
-				name = workload.ByTraceKey(name).Name
-				sched.Submissions[i].Workload = name
-			}
-			mix[i] = name
+			mix[i] = sub.Workload
 		}
 		s.traceSched, s.traceMix = sched, mix
 	})
@@ -91,7 +83,7 @@ func (s *Suite) traceRuns() (open, closed []core.Result, sch *trace.Schedule, er
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		totalPages += int64(tr.SetupPages) + tr.Meter.PagesWritten + 1024
+		totalPages += core.Footprint(tr)
 	}
 	cfg := s.Config
 	cfg.MinFlashPages = totalPages

@@ -245,7 +245,7 @@ func Replay(tenants []ReplayTenant, mode core.Mode, rc ReplayConfig) (*ReplayRep
 		// the destination (cipher + tPROG), pipelined across the
 		// channels, on the virtual clock.
 		perPage := rc.Base.FlashTiming.ReadLatency + rc.Base.FlashTiming.ProgramLatency +
-			2*rc.Base.CipherPerPage
+			2*core.CipherPerPage
 		channels := rc.Base.Channels
 		if channels <= 0 {
 			channels = 1

@@ -10,11 +10,11 @@ package sched
 // which clock drives it; the caller's lock or goroutine owns it.
 type queue[T any] struct {
 	bands   [numPriorities][]entry[T]
-	slots   int // global cap on granted entries; <= 0 means unlimited
-	perKey  int // per-key cap on granted entries; <= 0 means unlimited
-	waiting int // entries in bands
-	running int // granted entries not yet done
-	byKey   map[string]int
+	slots   int            // global cap on granted entries; <= 0 means unlimited
+	perKey  int            // per-key cap on granted entries; <= 0 means unlimited
+	waiting int            // entries in bands
+	running int            // granted entries not yet done
+	byKey   map[string]int // granted entries per key; kept only under a per-key cap
 }
 
 // entry is one waiting item.
@@ -72,13 +72,18 @@ func (q *queue[T]) pop() (T, bool) {
 	q.bands[p] = b
 	q.waiting--
 	q.running++
-	q.byKey[e.key]++
+	if q.perKey > 0 {
+		q.byKey[e.key]++
+	}
 	return e.v, true
 }
 
 // done returns a granted entry's slot under key.
 func (q *queue[T]) done(key string) {
 	q.running--
+	if q.perKey <= 0 {
+		return
+	}
 	if n := q.byKey[key] - 1; n > 0 {
 		q.byKey[key] = n
 	} else {

@@ -114,6 +114,29 @@ func TestQueueCappedKeyYieldsToOtherKey(t *testing.T) {
 	}
 }
 
+// TestQueueWithoutPerKeyCapKeepsNoCounts pins that a queue with no
+// per-key cap — the gate's — does no per-key bookkeeping: grants and
+// releases leave its per-key count map empty.
+func TestQueueWithoutPerKeyCapKeepsNoCounts(t *testing.T) {
+	q := newQueue[string](2, 0)
+	q.push("a", PriorityNormal, "a1")
+	q.push("a", PriorityHigh, "a2")
+	q.push("b", PriorityLow, "b1")
+	popWant(t, &q, "a2")
+	popWant(t, &q, "a1")
+	popWant(t, &q, "")
+	if len(q.byKey) != 0 {
+		t.Fatalf("after two grants the uncapped queue counts keys %v, want none", q.byKey)
+	}
+	q.done("a")
+	popWant(t, &q, "b1")
+	q.done("a")
+	q.done("b")
+	if len(q.byKey) != 0 || q.running != 0 {
+		t.Fatalf("after releases: byKey %v, running %d, want none and 0", q.byKey, q.running)
+	}
+}
+
 // TestSchedulerAndGateGrantInOneOrder feeds one seeded sequence of
 // (tenant, priority) submissions to both gates that pop the queue: a
 // 1-worker Scheduler held on a first job until every submission is

@@ -10,7 +10,8 @@ import (
 // parsing never panics, every failure is a typed error (*ParseError or a
 // wrapped ErrUnknownFormat), and a successful parse accounts for every
 // non-blank data row — no silent drops — and builds a well-formed schedule
-// (sorted, zero-anchored, bands in range). Seeds cover both schemas, the
+// (sorted, zero-anchored, bands in range). Seeds cover the native schema,
+// foreign headers (an Azure Functions invocation layout among them), the
 // malformed shapes the golden tests pin, and the committed corpus under
 // testdata/fuzz keeps prior crashers in CI forever.
 func FuzzTraceReader(f *testing.F) {

@@ -41,20 +41,6 @@ func TestGoldenSchedules(t *testing.T) {
 			},
 		},
 		{
-			// Azure schema: arrival = end_timestamp - duration, classified
-			// by duration. f2 starts *before* the trace epoch (12 - 30 =
-			// -18 s), so it becomes the schedule origin and the two
-			// invocations starting at 10 s land 28 s later, keeping file
-			// order at the shared instant.
-			file:   "golden_azure.csv",
-			format: FormatAzure,
-			want: []Submission{
-				{At: 0, Tenant: "app-b", Workload: "f2", Band: 1},
-				{At: 28 * sim.Second, Tenant: "app-a", Workload: "f1", Band: 2},
-				{At: 28 * sim.Second, Tenant: "app-a", Workload: "f3", Band: 0},
-			},
-		},
-		{
 			// Out-of-order timestamps: the schedule is sorted and
 			// re-anchored at the earliest arrival (100 us), the file is not.
 			file:   "out_of_order.csv",
@@ -119,7 +105,6 @@ func TestGoldenRaggedRowTypedError(t *testing.T) {
 // field, and an unrecognized header wraps ErrUnknownFormat.
 func TestMalformedRowsProduceTypedErrors(t *testing.T) {
 	native := "arrival_us,tenant,workload,class\n"
-	azure := "app,func,end_timestamp,duration\n"
 	cases := []struct {
 		name  string
 		input string
@@ -134,14 +119,6 @@ func TestMalformedRowsProduceTypedErrors(t *testing.T) {
 		{"native unknown class", native + "0,a,w,urgent\n", 2, "class"},
 		{"native extra field", native + "0,a,w,batch,x\n", 2, "row"},
 		{"native second row bad", native + "0,a,w,batch\n1,b,w,nope\n", 3, "class"},
-		{"azure empty app", azure + ",f,1,1\n", 2, "app"},
-		{"azure empty func", azure + "a,,1,1\n", 2, "func"},
-		{"azure bad end", azure + "a,f,xyz,1\n", 2, "end_timestamp"},
-		{"azure nan end", azure + "a,f,NaN,1\n", 2, "end_timestamp"},
-		{"azure inf duration", azure + "a,f,1,Inf\n", 2, "duration"},
-		{"azure negative duration", azure + "a,f,1,-2\n", 2, "duration"},
-		{"azure overflow seconds", azure + "a,f,5e12,1\n", 2, "end_timestamp"},
-		{"azure ragged", azure + "a,f,1\n", 2, "row"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -156,7 +133,8 @@ func TestMalformedRowsProduceTypedErrors(t *testing.T) {
 		})
 	}
 
-	for _, bad := range []string{"", "\n\n", "a,b,c\n", "lba,size,op,time\n1,2,r,3\n"} {
+	for _, bad := range []string{"", "\n\n", "a,b,c\n", "lba,size,op,time\n1,2,r,3\n",
+		"app,func,end_timestamp,duration\napp-a,f1,10.5,0.5\n"} {
 		if _, _, err := ReadBytes([]byte(bad)); !errors.Is(err, ErrUnknownFormat) {
 			t.Fatalf("input %q: error = %v, want ErrUnknownFormat", bad, err)
 		}

@@ -3,7 +3,6 @@ package trace
 import (
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 	"strings"
 
@@ -13,46 +12,24 @@ import (
 // Format identifies a sniffed trace schema.
 type Format int
 
-// Known trace schemas. Sniffing happens on the header row: the native
-// schema names its columns directly; the Azure schema is the column
-// layout of the public Azure Functions invocation traces.
+// Known trace schemas. Sniffing happens on the header row, which names
+// the native schema's columns directly.
 const (
 	FormatUnknown Format = iota
 	FormatNative
-	FormatAzure
 )
 
 // String names the format.
 func (f Format) String() string {
-	switch f {
-	case FormatNative:
+	if f == FormatNative {
 		return "native"
-	case FormatAzure:
-		return "azure-functions"
-	default:
-		return "unknown"
 	}
+	return "unknown"
 }
 
-// Column layouts the sniffer recognizes (lower-cased, space-trimmed).
-var (
-	nativeHeader = []string{"arrival_us", "tenant", "workload", "class"}
-	azureHeader  = []string{"app", "func", "end_timestamp", "duration"}
-)
-
-// Azure-schema classification thresholds: the invocation's duration is
-// the only latency signal the schema carries, so short functions classify
-// as interactive (they are what a user is waiting on), long ones as
-// batch, the rest as normal.
-const (
-	AzureInteractiveMaxSeconds = 1.0
-	AzureNormalMaxSeconds      = 60.0
-)
-
-// Azure timestamps are seconds (possibly relative to the trace's own
-// epoch, possibly Unix time); anything beyond this magnitude would
-// overflow the nanosecond virtual clock.
-const maxAzureSeconds = 4e9
+// nativeHeader is the column layout the sniffer recognizes (lower-cased,
+// space-trimmed).
+var nativeHeader = []string{"arrival_us", "tenant", "workload", "class"}
 
 // Read parses a CSV arrival trace from r, sniffing the schema from the
 // header row. It returns the parsed entries in file order (BuildSchedule
@@ -92,12 +69,7 @@ func ReadBytes(data []byte) ([]Entry, Format, error) {
 		if err != nil {
 			return nil, format, err
 		}
-		var e Entry
-		if format == FormatNative {
-			e, err = parseNative(fields, i+1)
-		} else {
-			e, err = parseAzure(fields, i+1)
-		}
+		e, err := parseNative(fields, i+1)
 		if err != nil {
 			return nil, format, err
 		}
@@ -110,20 +82,16 @@ func ReadBytes(data []byte) ([]Entry, Format, error) {
 // only) — the only lines a reader may skip.
 func blank(line string) bool { return strings.TrimSpace(line) == "" }
 
-// sniff matches the header row against the known column layouts.
+// sniff matches the header row against the known column layout.
 func sniff(header string) Format {
 	cols := strings.Split(strings.TrimRight(header, "\r"), ",")
 	for i, c := range cols {
 		cols[i] = strings.ToLower(strings.TrimSpace(c))
 	}
-	switch {
-	case equalCols(cols, nativeHeader):
+	if equalCols(cols, nativeHeader) {
 		return FormatNative
-	case equalCols(cols, azureHeader):
-		return FormatAzure
-	default:
-		return FormatUnknown
 	}
+	return FormatUnknown
 }
 
 func equalCols(a, b []string) bool {
@@ -138,8 +106,8 @@ func equalCols(a, b []string) bool {
 	return true
 }
 
-// splitRow splits one data row and rejects ragged rows (every schema here
-// has exactly four columns). Field values are space-trimmed; the trace
+// splitRow splits one data row and rejects ragged rows (the schema has
+// exactly four columns). Field values are space-trimmed; the trace
 // schemas carry no quoting or embedded commas.
 func splitRow(line string, lineNo int, f Format) ([]string, error) {
 	fields := strings.Split(strings.TrimRight(line, "\r"), ",")
@@ -200,61 +168,4 @@ func parseClass(s string) (Class, bool) {
 	default:
 		return 0, false
 	}
-}
-
-// parseAzure parses one app,func,end_timestamp,duration row. The arrival
-// instant is end_timestamp - duration (both in seconds); the class comes
-// from the duration thresholds above.
-func parseAzure(fields []string, lineNo int) (Entry, error) {
-	if fields[0] == "" {
-		return Entry{}, &ParseError{Line: lineNo, Format: FormatAzure, Field: "app", Reason: "empty"}
-	}
-	if fields[1] == "" {
-		return Entry{}, &ParseError{Line: lineNo, Format: FormatAzure, Field: "func", Reason: "empty"}
-	}
-	end, err := parseSeconds(fields[2])
-	if err != nil {
-		return Entry{}, &ParseError{Line: lineNo, Format: FormatAzure, Field: "end_timestamp",
-			Reason: err.Error()}
-	}
-	dur, err := parseSeconds(fields[3])
-	if err != nil {
-		return Entry{}, &ParseError{Line: lineNo, Format: FormatAzure, Field: "duration",
-			Reason: err.Error()}
-	}
-	if dur < 0 {
-		return Entry{}, &ParseError{Line: lineNo, Format: FormatAzure, Field: "duration",
-			Reason: fmt.Sprintf("negative duration %v", fields[3])}
-	}
-	class := ClassBatch
-	switch {
-	case dur <= AzureInteractiveMaxSeconds:
-		class = ClassInteractive
-	case dur <= AzureNormalMaxSeconds:
-		class = ClassNormal
-	}
-	return Entry{
-		// The invocation *started* at end - duration; that start is the
-		// arrival. It may precede the trace's own epoch (a long function
-		// ending just after the capture began) — BuildSchedule renormalizes.
-		Arrival:  sim.Time(math.Round((end - dur) * float64(sim.Second))),
-		Tenant:   fields[0],
-		Workload: fields[1],
-		Class:    class,
-	}, nil
-}
-
-// parseSeconds parses a finite, clock-representable seconds value.
-func parseSeconds(s string) (float64, error) {
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, fmt.Errorf("not a number: %q", s)
-	}
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0, fmt.Errorf("not finite: %q", s)
-	}
-	if math.Abs(v) > maxAzureSeconds {
-		return 0, fmt.Errorf("%v seconds overflows the virtual clock", s)
-	}
-	return v, nil
 }

@@ -1,21 +1,19 @@
-// Package trace converts real arrival traces into virtual-time submission
+// Package trace converts arrival traces into virtual-time submission
 // schedules for the replay engine. Every workload in the experiment suite
 // is otherwise a synthetic generator submitted at t=0, so the timing
-// tables only ever measure saturation; a trace reader turns any public
-// block/KV/function-invocation trace into an open-loop arrival scenario —
-// submissions fire at their recorded (virtual) instants, whether or not
-// the device has caught up — and a classifier maps each entry onto the
-// scheduler's three priority bands, so real mixes finally exercise band
-// logic that synthetic traffic left at PriorityNormal.
+// tables only ever measure saturation; a trace turns a mix into an
+// open-loop arrival scenario — submissions fire at their recorded
+// (virtual) instants, whether or not the device has caught up — and a
+// classifier maps each entry onto the scheduler's three priority bands,
+// so mixes exercise band logic that synthetic traffic left at
+// PriorityNormal.
 //
-// The package reads CSV traces with a format-sniffing header: a minimal
-// native schema (arrival_us,tenant,workload,class) and an
-// Azure-Functions-shaped schema (app,func,end_timestamp,duration — the
-// column layout of the public Azure Functions invocation traces, where
-// the arrival instant is end_timestamp minus duration). Malformed input
-// produces typed errors (*ParseError, ErrUnknownFormat), never panics or
-// silent row drops: FuzzTraceReader pins that every non-blank data row is
-// either parsed or reported.
+// The package reads CSV traces in one native schema
+// (arrival_us,tenant,workload,class), sniffed from the header row; any
+// other header is ErrUnknownFormat. Malformed input produces typed
+// errors (*ParseError, ErrUnknownFormat), never panics or silent row
+// drops: FuzzTraceReader pins that every non-blank data row is either
+// parsed or reported.
 //
 // Concurrency contract: readers and schedule builders are pure functions
 // over their input; a built Schedule is immutable by convention and safe
@@ -68,10 +66,9 @@ func (c Class) String() string {
 func (c Class) Band() int { return int(c) }
 
 // Entry is one parsed trace record, format-independent: an arrival
-// instant on the trace's own clock, the submitting tenant, an opaque
-// workload identifier (a repo workload name in the native schema, a
-// function hash in the Azure schema), and the latency class the
-// classifier assigned.
+// instant on the trace's own clock, the submitting tenant, the workload
+// it submits (a standard workload name in the committed fixture), and
+// the latency class the classifier assigned.
 type Entry struct {
 	Arrival  sim.Time
 	Tenant   string

@@ -14,14 +14,14 @@ package workload
 
 import (
 	"fmt"
-	"hash/fnv"
 
 	"iceclave/internal/query"
 )
 
 // Scale sets the generated dataset sizes. The paper populates 32 GB per
-// workload (§6.1); simulations scale this down and EXPERIMENTS.md records
-// the substitution. Ratios between tables follow TPC conventions.
+// workload (§6.1); simulations scale this down, and Table 1's note prints
+// the lineitem row count used. Ratios between tables follow TPC
+// conventions.
 type Scale struct {
 	LineitemRows int // TPC-H and synthetic operators
 	Accounts     int // TPC-B
@@ -141,18 +141,6 @@ func ByName(name string) (*Workload, error) {
 		}
 	}
 	return nil, fmt.Errorf("workload: unknown workload %q", name)
-}
-
-// ByTraceKey deterministically maps an opaque trace identifier — an Azure
-// function hash, a block-trace stream ID — onto one of the standard
-// workloads via FNV-1a, so a real trace whose entries don't name repo
-// workloads still replays a stable, reproducible program mix: the same
-// trace always maps to the same workloads, on any machine.
-func ByTraceKey(key string) *Workload {
-	ws := Standard()
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return ws[int(h.Sum32()%uint32(len(ws)))]
 }
 
 // Names lists the standard workload names in figure order.
